@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncoderConfig, EncoderState
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .fileio import atomic_write_bytes
 from .fusion import CoAttentionBlock, FusionModel, LinearHead
 from . import tensor as T
@@ -146,6 +146,9 @@ def load_fusion_checkpoint(path: str | Path) -> tuple[FusionModel, dict]:
         T.Tensor(need("fusion.head.w").copy(), requires_grad=True),
         T.Tensor(need("fusion.head.b").copy(), requires_grad=True),
     )
-    model = FusionModel(meta["fusion"], head, speech=speech, text=text, block=block,
-                        fusion_dropout=meta.get("fusion_dropout", 0.0))
+    try:
+        model = FusionModel(meta["fusion"], head, speech=speech, text=text, block=block,
+                            fusion_dropout=meta.get("fusion_dropout", 0.0))
+    except ConfigError as err:
+        raise InputError(f"{path}: {err}") from None
     return model, meta

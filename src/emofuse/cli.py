@@ -30,7 +30,6 @@ from .checkpoint import (
 )
 from .data import (
     CLASS_NAMES,
-    Dataset,
     generate_synthetic,
     load_jsonl,
     save_jsonl,
@@ -39,13 +38,12 @@ from .data import (
 from .encoder import EncoderConfig, EncoderState
 from .errors import EmofuseError, InputError, NumericError, UsageError
 from .fileio import atomic_write_text, sha256_file
-from .fusion import CoAttentionBlock, FusionModel, LinearHead
+from .fusion import FUSION_KINDS, FusionModel
 from .metrics import MetricReport
 from .speech import Codebook, discretize, train_codebook
 from .text import Vocabulary, build_vocab
 from .training import AdamState, TrainConfig, evaluate_model, run_finetune, run_pretraining
 
-FUSION_CHOICES = ("shallow", "coattn", "speech-only", "text-only")
 FREEZE_CHOICES = ("none", "speech", "text", "both")
 
 ABLATION_CELLS = (
@@ -153,19 +151,10 @@ def _text_config(args, vocab_size: int) -> EncoderConfig:
 def _train_config(args, **overrides) -> TrainConfig:
     base = dict(
         peak_lr=args.lr, batch_size=args.batch_size, dropout=args.dropout,
-        seed=args.seed, grad_clip=args.grad_clip,
+        seed=args.seed, grad_clip=args.grad_clip, warmup_steps=args.warmup_steps,
     )
     base.update(overrides)
     return TrainConfig(**base)
-
-
-def _tokenized_splits(dataset: Dataset, codebook: Codebook, vocab: Vocabulary, args):
-    return {
-        split: tokenize_examples(
-            dataset.subset(split), codebook, vocab,
-            speech_max_len=args.speech_max_len, text_max_len=args.text_max_len)
-        for split in dataset.splits
-    }
 
 
 def _metrics_csv(rows: list[tuple]) -> str:
@@ -253,7 +242,7 @@ def cmd_pretrain(args) -> int:
         if args.require_pretrained:
             raise UsageError("--require-pretrained needs --resume pointing at a checkpoint")
 
-    cfg = _train_config(args, warmup_steps=args.warmup_steps, total_steps=args.steps)
+    cfg = _train_config(args, total_steps=args.steps)
     ckpt_path = out / "speech_encoder.ckpt"
     log_lines: list[str] = []
     if opt is None:
@@ -285,39 +274,16 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _build_model(args, fusion: str, speech_cfg, text_cfg, rng) -> FusionModel:
-    speech = text = block = None
-    if fusion != "text-only":
-        speech = EncoderState.init(speech_cfg, rng)
-    if fusion != "speech-only":
-        text = EncoderState.init(text_cfg, rng)
-    n_outputs = 2 * len(CLASS_NAMES) if args.label_mode == "categorical" else 1
-    dims = {
-        "shallow": speech_cfg.d_model + text_cfg.d_model,
-        "coattn": speech_cfg.d_model + text_cfg.d_model,
-        "speech-only": speech_cfg.d_model,
-        "text-only": text_cfg.d_model,
-    }
-    head = LinearHead.init(dims[fusion], n_outputs, rng)
-    if fusion == "coattn":
-        block = CoAttentionBlock.init(speech_cfg.d_model, text_cfg.d_model,
-                                      n_heads=args.coattn_heads, rng=rng)
-    return FusionModel(fusion, head, speech=speech, text=text, block=block,
-                       fusion_dropout=args.dropout)
-
-
-def _load_pretrained_speech(args, model: FusionModel, manifest: Manifest) -> None:
-    if args.require_pretrained and not args.speech_checkpoint:
-        raise UsageError("--require-pretrained needs --speech-checkpoint")
-    if args.speech_checkpoint and model.needs_speech:
-        if not Path(args.speech_checkpoint).exists():
-            raise InputError(f"pretrained checkpoint {args.speech_checkpoint} does not exist")
-        manifest.add_input(args.speech_checkpoint)
-        state, _, _ = load_encoder_checkpoint(args.speech_checkpoint)
-        if state.cfg.d_model != model.speech.cfg.d_model:
-            raise InputError("pretrained speech encoder dims do not match requested config")
-        model.speech.load_arrays(state.copy_arrays())
-        model.speech.cfg = state.cfg
+def _load_pretrained_speech(path, model: FusionModel, manifest: Manifest) -> None:
+    """Copy a pretrained speech encoder into ``model``; its sizes must match."""
+    manifest.add_input(path)
+    state, _, _ = load_encoder_checkpoint(path)
+    for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_len"):
+        have, want = getattr(state.cfg, name), getattr(model.speech.cfg, name)
+        if have != want:
+            raise InputError(f"{path}: pretrained speech encoder has {name} {have}, "
+                             f"the requested configuration has {want}")
+    model.speech.load_arrays(state.copy_arrays())
 
 
 def _check_freeze(fusion: str, freeze: str) -> tuple[bool, bool]:
@@ -328,45 +294,57 @@ def _check_freeze(fusion: str, freeze: str) -> tuple[bool, bool]:
     return freeze in ("speech", "both"), freeze in ("text", "both")
 
 
-def _run_one_finetune(args, splits, fusion, freeze, seed, speech_cfg, text_cfg):
-    rng = np.random.default_rng(seed)
-    model = _build_model(args, fusion, speech_cfg, text_cfg, rng)
-    freeze_speech, freeze_text = _check_freeze(fusion, freeze)
-    cfg = _train_config(args, seed=seed, freeze_speech=freeze_speech, freeze_text=freeze_text)
-    result = run_finetune(splits["train"], splits.get("valid", []), model, cfg,
-                          epochs=args.epochs, label_mode=args.label_mode)
-    report = evaluate_model(model, splits["test"], args.label_mode, class_names=CLASS_NAMES) \
-        if "test" in splits and splits["test"] else None
-    return model, result, report
-
-
-def cmd_finetune(args) -> int:
-    out = _out_dir(args)
-    manifest = Manifest("finetune", args)
+def _load_run_inputs(args, command: str):
+    """Manifest, tokenized splits and encoder configs of a training command."""
+    manifest = Manifest(command, args)
     for path in (args.dataset, args.vocab, args.codebook):
         manifest.add_input(path)
     dataset = load_jsonl(args.dataset)
     args.label_mode = dataset.label_mode
     vocab = Vocabulary.load(args.vocab)
     codebook = Codebook.load(args.codebook)
-    splits = _tokenized_splits(dataset, codebook, vocab, args)
-    if "train" not in splits:
-        raise InputError("dataset has no train split")
-    speech_cfg = _speech_config(args, 5 + codebook.k)
-    text_cfg = _text_config(args, vocab.size)
+    splits = {split: tokenize_examples(dataset.subset(split), codebook, vocab,
+                                       speech_max_len=args.speech_max_len,
+                                       text_max_len=args.text_max_len)
+              for split in dataset.splits}
+    return (manifest, splits, _speech_config(args, 5 + codebook.k),
+            _text_config(args, vocab.size))
 
-    rng = np.random.default_rng(args.seed)
-    model = _build_model(args, args.fusion, speech_cfg, text_cfg, rng)
-    _load_pretrained_speech(args, model, manifest)
-    freeze_speech, freeze_text = _check_freeze(args.fusion, args.freeze)
-    cfg = _train_config(args, freeze_speech=freeze_speech, freeze_text=freeze_text,
-                        warmup_steps=args.warmup_steps)
+
+def _train_one(args, manifest, splits, speech_cfg, text_cfg, fusion, freeze, seed,
+               speech_checkpoint=None):
+    """Build, train and test one model: the run behind `finetune` and each `ablate` cell.
+
+    Returns the model, the fine-tuning result and the test-split report (None
+    without a test split).
+    """
+    freeze_speech, freeze_text = _check_freeze(fusion, freeze)
+    n_outputs = 2 * len(CLASS_NAMES) if args.label_mode == "categorical" else 1
+    model = FusionModel.init(fusion, speech_cfg, text_cfg, n_outputs, args.coattn_heads,
+                             np.random.default_rng(seed), fusion_dropout=args.dropout)
+    if speech_checkpoint and model.needs_speech:
+        _load_pretrained_speech(speech_checkpoint, model, manifest)
+    cfg = _train_config(args, seed=seed, freeze_speech=freeze_speech, freeze_text=freeze_text)
     result = run_finetune(splits["train"], splits.get("valid", []), model, cfg,
                           epochs=args.epochs, label_mode=args.label_mode)
+    report = evaluate_model(model, splits["test"], args.label_mode, class_names=CLASS_NAMES) \
+        if splits.get("test") else None
+    return model, result, report
+
+
+def cmd_finetune(args) -> int:
+    out = _out_dir(args)
+    manifest, splits, speech_cfg, text_cfg = _load_run_inputs(args, "finetune")
+    if "train" not in splits:
+        raise InputError("dataset has no train split")
+    if args.require_pretrained and not args.speech_checkpoint:
+        raise UsageError("--require-pretrained needs --speech-checkpoint")
+    model, result, report = _train_one(args, manifest, splits, speech_cfg, text_cfg,
+                                       args.fusion, args.freeze, args.seed,
+                                       speech_checkpoint=args.speech_checkpoint)
 
     rows = [(h["epoch"], h["split"], h["metric"], h["value"]) for h in result.history]
-    if "test" in splits and splits["test"]:
-        report = evaluate_model(model, splits["test"], args.label_mode, class_names=CLASS_NAMES)
+    if report is not None:
         rows += _report_rows(report, "final", "test")
         _print_report(report, f"test metrics ({args.fusion}, freeze={args.freeze})")
 
@@ -420,21 +398,12 @@ def _ablation_table(mean_rows: dict[str, dict[str, float]]) -> str:
 
 def cmd_ablate(args) -> int:
     out = _out_dir(args)
-    manifest = Manifest("ablate", args)
-    for path in (args.dataset, args.vocab, args.codebook):
-        manifest.add_input(path)
-    dataset = load_jsonl(args.dataset)
-    if dataset.label_mode != "categorical":
+    manifest, splits, speech_cfg, text_cfg = _load_run_inputs(args, "ablate")
+    if args.label_mode != "categorical":
         raise InputError("the ablation grid needs a categorical dataset")
-    args.label_mode = dataset.label_mode
-    vocab = Vocabulary.load(args.vocab)
-    codebook = Codebook.load(args.codebook)
-    splits = _tokenized_splits(dataset, codebook, vocab, args)
     for required in ("train", "valid", "test"):
-        if required not in splits or not splits[required]:
+        if not splits.get(required):
             raise InputError(f"ablation needs a non-empty {required!r} split")
-    speech_cfg = _speech_config(args, 5 + codebook.k)
-    text_cfg = _text_config(args, vocab.size)
 
     csv_rows = []
     cell_acc: dict[str, list[float]] = {}
@@ -443,8 +412,8 @@ def cmd_ablate(args) -> int:
         per_metric: dict[str, list[float]] = {}
         for rep in range(args.reps):
             seed = args.seed + rep
-            _, _, report = _run_one_finetune(args, splits, fusion, freeze, seed,
-                                             speech_cfg, text_cfg)
+            _, _, report = _train_one(args, manifest, splits, speech_cfg, text_cfg,
+                                      fusion, freeze, seed)
             values = {"acc4": report.accuracy4}
             for cls in CLASS_NAMES:
                 values[f"ba[{cls}]"] = report.per_class[cls]["binary_accuracy"]
@@ -556,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="dataset JSONL path")
     p.add_argument("--vocab", required=True, help="vocabulary file path")
     p.add_argument("--codebook", required=True, help="codebook file path")
-    p.add_argument("--fusion", choices=FUSION_CHOICES, default="shallow",
+    p.add_argument("--fusion", choices=FUSION_KINDS, default="shallow",
                    help="fusion mechanism")
     p.add_argument("--freeze", choices=FREEZE_CHOICES, default="none",
                    help="encoders to exclude from training")

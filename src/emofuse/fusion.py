@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .encoder import EncoderOutput, EncoderState
+from .encoder import EncoderConfig, EncoderOutput, EncoderState
 from .errors import ConfigError, InputError
 
 FUSION_KINDS = ("shallow", "coattn", "speech-only", "text-only")
@@ -222,6 +222,12 @@ def unimodal_head(cls_vec: T.Tensor, head: LinearHead) -> FusionOutput:
     return FusionOutput(logits=head.apply(cls_vec))
 
 
+def _head_width(kind: str, speech: EncoderState | None, text: EncoderState | None) -> int:
+    """Input features of the head: the CLS widths that ``kind`` concatenates."""
+    width = speech.cfg.d_model if kind != "text-only" else 0
+    return width + (text.cfg.d_model if kind != "speech-only" else 0)
+
+
 class FusionModel:
     """One encoder pair plus a fusion mechanism and its classification head."""
 
@@ -242,12 +248,32 @@ class FusionModel:
             raise ConfigError(f"{kind} fusion needs a text encoder")
         if kind == "coattn" and block is None:
             raise ConfigError("coattn fusion needs a CoAttentionBlock")
+        width = _head_width(kind, speech, text)
+        if head.in_dim != width:
+            raise ConfigError(
+                f"{kind} fusion needs a head with {width} input features, got {head.in_dim}")
         self.kind = kind
         self.head = head
         self.speech = speech
         self.text = text
         self.block = block if kind == "coattn" else None
         self.fusion_dropout = fusion_dropout
+
+    @classmethod
+    def init(cls, kind: str, speech_cfg: EncoderConfig, text_cfg: EncoderConfig,
+             n_outputs: int, coattn_heads: int, rng: np.random.Generator,
+             fusion_dropout: float = 0.0) -> "FusionModel":
+        """Fresh model of ``kind``; only the encoders it uses are built.
+
+        Draws from ``rng`` in a fixed order: speech encoder, text encoder,
+        head, co-attention block.
+        """
+        speech = EncoderState.init(speech_cfg, rng) if kind != "text-only" else None
+        text = EncoderState.init(text_cfg, rng) if kind != "speech-only" else None
+        head = LinearHead.init(_head_width(kind, speech, text), n_outputs, rng)
+        block = (CoAttentionBlock.init(speech_cfg.d_model, text_cfg.d_model, coattn_heads, rng)
+                 if kind == "coattn" else None)
+        return cls(kind, head, speech, text, block, fusion_dropout)
 
     @property
     def needs_speech(self) -> bool:

@@ -25,11 +25,6 @@ Array = np.ndarray
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Products at or below this size sum rank-1 updates in ascending-k order,
-# which is bitwise identical to the textbook triple loop; larger products use
-# BLAS, which may fuse or reorder the accumulation.
-EXACT_MATMUL_MAX_DIM = 8
-
 
 @dataclass
 class OpRecord:
@@ -112,15 +107,6 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g
 
 
-def _mm(a: Array, b: Array) -> Array:
-    if max(a.shape[0], a.shape[1], b.shape[1]) <= EXACT_MATMUL_MAX_DIM:
-        out = np.zeros((a.shape[0], b.shape[1]))
-        for k in range(a.shape[1]):
-            out = out + a[:, k : k + 1] * b[k : k + 1, :]
-        return out
-    return a @ b
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         out = a.data + b.data
@@ -171,10 +157,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two 2-D tensors."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    out = _mm(a.data, b.data)
+    out = a.data @ b.data
 
     def vjp(g: Array):
-        return _mm(g, b.data.T), _mm(a.data.T, g)
+        return g @ b.data.T, a.data.T @ g
 
     return _result("matmul", out, (a, b), vjp)
 

@@ -1,10 +1,12 @@
 """Optimization engine: Adam with warmup + polynomial decay, pretraining and fine-tuning.
 
-Batch gradients are always formed by summing per-example gradients in
-dataset order and dividing once by the batch size, so how an effective batch
-is factored into microbatches cannot change the result, bitwise. Frozen
-components run in eval mode (acting purely as feature extractors) and their
-outputs are computed once per example and cached.
+Every optimizer step of every loop (pretraining, the overfit diagnostic and
+fine-tuning) goes through ``_update``, the one home of the gradient
+accumulation invariant: batch gradients are the per-example gradients summed
+in dataset order and divided once by the batch size, so how an effective
+batch is factored into microbatches cannot change the result, bitwise.
+Frozen components run in eval mode (acting purely as feature extractors) and
+their outputs are computed once per distinct token sequence and cached.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ class TrainConfig:
     end_lr: float = 0.0
     power: float = 1.0
     batch_size: int = 16
-    accum_steps: int = 1
     dropout: float = 0.1
     beta1: float = 0.9
     beta2: float = 0.999
@@ -51,8 +52,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
-        if self.accum_steps < 1 or self.batch_size % self.accum_steps != 0:
-            raise ConfigError("accum_steps must evenly divide batch_size")
         if self.total_steps is not None:
             w = self.warmup_steps if self.warmup_steps is not None else 0
             if w >= self.total_steps:
@@ -115,8 +114,8 @@ def adam_step(
     bc2 = 1.0 - cfg.beta2 ** opt.step
     for name, p in params.items():
         g = grads[name]
-        if np.isnan(g).any():
-            raise NumericError(f"NaN gradient for parameter {name!r}")
+        if not np.isfinite(g).all():
+            raise NumericError(f"non-finite (NaN or inf) gradient for parameter {name!r}")
         opt.m[name] = cfg.beta1 * opt.m[name] + (1.0 - cfg.beta1) * g
         opt.v[name] = cfg.beta2 * opt.v[name] + (1.0 - cfg.beta2) * g * g
         m_hat = opt.m[name] / bc1
@@ -143,6 +142,24 @@ def collect_gradients(params: dict[str, T.Tensor], batch_size: int) -> dict[str,
         else:
             out[name] = p.grad / batch_size
     return out
+
+
+def _update(params, losses, batch_size: int, opt: AdamState, lr: float, cfg: TrainConfig,
+            total: float = 0.0) -> float:
+    """One optimizer step over a batch; returns ``total`` plus the batch's losses.
+
+    ``losses`` yields one example's loss at a time and each is backpropagated
+    before the next is built, so one autodiff graph is alive at a time. Each
+    loss is added to ``total`` in turn, so a running epoch sum passed in keeps
+    its example-by-example order, bitwise.
+    """
+    T.zero_grads(params.values())
+    for loss in losses:
+        T.backward(loss)
+        total += loss.item()
+    grads = _clipped(collect_gradients(params, batch_size), cfg.grad_clip)
+    adam_step(params, grads, opt, lr, cfg)
+    return total
 
 
 def run_pretraining(
@@ -173,17 +190,12 @@ def run_pretraining(
     losses: list[float] = []
     for step in range(start_step + 1, cfg.total_steps + 1):
         idx = rng.integers(0, len(corpus), size=cfg.batch_size)
-        T.zero_grads(params.values())
-        total = 0.0
-        for i in idx:
-            corrupted, targets = mask_corrupt(corpus[i], mask_rate, rng, state.cfg.vocab_size)
-            loss = masked_lm_loss(state, corrupted, targets, train_mode=True, rng=rng)
-            T.backward(loss)
-            total += loss.item()
-        grads = _clipped(collect_gradients(params, cfg.batch_size), cfg.grad_clip)
+        batch_losses = (
+            masked_lm_loss(state, *mask_corrupt(corpus[i], mask_rate, rng, state.cfg.vocab_size),
+                           train_mode=True, rng=rng)
+            for i in idx)
         lr = lr_at(step, cfg)
-        adam_step(params, grads, opt, lr, cfg)
-        mean_loss = total / cfg.batch_size
+        mean_loss = _update(params, batch_losses, cfg.batch_size, opt, lr, cfg) / cfg.batch_size
         losses.append(mean_loss)
         if log_fn is not None:
             log_fn(step, lr, mean_loss)
@@ -213,14 +225,8 @@ def overfit_one_batch(
     opt = AdamState.fresh(state.params)
     losses: list[float] = []
     for step in range(1, cfg.total_steps + 1):
-        T.zero_grads(state.params.values())
-        total = 0.0
-        for corrupted, targets in fixed:
-            loss = masked_lm_loss(state, corrupted, targets)
-            T.backward(loss)
-            total += loss.item()
-        grads = _clipped(collect_gradients(state.params, len(batch)), cfg.grad_clip)
-        adam_step(state.params, grads, opt, lr_at(step, cfg), cfg)
+        batch_losses = (masked_lm_loss(state, corrupted, targets) for corrupted, targets in fixed)
+        total = _update(state.params, batch_losses, len(batch), opt, lr_at(step, cfg), cfg)
         losses.append(total / len(batch))
     T.zero_grads(state.params.values())
     return losses
@@ -260,16 +266,19 @@ def predict_score(logits_data: np.ndarray) -> float:
 
 
 class _EncoderCache:
-    """Eval-mode encoder outputs for frozen encoders, computed once per example."""
+    """Eval-mode outputs of a frozen encoder, keyed by token IDs, never by example id.
+
+    Eval-mode forward is a pure function of (state, sequence).
+    """
 
     def __init__(self, state: EncoderState):
         self.state = state
-        self._outputs: dict[str, object] = {}
+        self._outputs: dict[tuple[int, ...], object] = {}
 
-    def get(self, key: str, seq: TokenSequence):
-        if key not in self._outputs:
-            self._outputs[key] = forward(seq, self.state, train_mode=False)
-        return self._outputs[key]
+    def get(self, seq: TokenSequence):
+        if seq.ids not in self._outputs:
+            self._outputs[seq.ids] = forward(seq, self.state, train_mode=False)
+        return self._outputs[seq.ids]
 
 
 @dataclass
@@ -285,12 +294,12 @@ def _model_outputs(model, ex, train_mode, rng, speech_cache, text_cache):
     speech_out = text_out = None
     if model.needs_speech:
         if speech_cache is not None:
-            speech_out = speech_cache.get(ex.id, ex.speech)
+            speech_out = speech_cache.get(ex.speech)
         else:
             speech_out = forward(ex.speech, model.speech, train_mode=train_mode, rng=rng)
     if model.needs_text:
         if text_cache is not None:
-            text_out = text_cache.get(ex.id, ex.text)
+            text_out = text_cache.get(ex.text)
         else:
             text_out = forward(ex.text, model.text, train_mode=train_mode, rng=rng)
     return speech_out, text_out
@@ -383,14 +392,12 @@ def run_finetune(
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = [train[i] for i in order[start : start + cfg.batch_size]]
-            T.zero_grads(trainable.values())
-            for ex in batch:
-                loss = _example_loss(model, ex, label_mode, True, rng, speech_cache, text_cache)
-                T.backward(loss)
-                epoch_loss += loss.item()
-            grads = _clipped(collect_gradients(trainable, len(batch)), cfg.grad_clip)
+            batch_losses = (
+                _example_loss(model, ex, label_mode, True, rng, speech_cache, text_cache)
+                for ex in batch)
             step = min(step + 1, cfg.total_steps)
-            adam_step(trainable, grads, opt, lr_at(step, cfg), cfg)
+            epoch_loss = _update(trainable, batch_losses, len(batch), opt, lr_at(step, cfg), cfg,
+                                 total=epoch_loss)
         T.zero_grads(trainable.values())
         history.append({"epoch": epoch, "split": "train", "metric": "loss",
                         "value": epoch_loss / len(train)})

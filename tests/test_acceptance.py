@@ -231,14 +231,8 @@ def ablation_fixture():
 
 
 def _ablation_cell(tok, cfg_s, cfg_t, fusion, frozen, seed):
-    rng = np.random.default_rng(seed)
-    speech = EncoderState.init(cfg_s, rng) if fusion != "text-only" else None
-    text = EncoderState.init(cfg_t, rng) if fusion != "speech-only" else None
-    dims = {"shallow": 64, "coattn": 64, "speech-only": 32, "text-only": 32}
-    head = LinearHead.init(dims[fusion], 8, rng)
-    block = CoAttentionBlock.init(32, 32, 2, rng) if fusion == "coattn" else None
-    model = FusionModel(fusion, head, speech=speech, text=text, block=block,
-                        fusion_dropout=0.1)
+    model = FusionModel.init(fusion, cfg_s, cfg_t, n_outputs=8, coattn_heads=2,
+                             rng=np.random.default_rng(seed), fusion_dropout=0.1)
     cfg = TrainConfig(peak_lr=1e-3, batch_size=16, seed=seed,
                       freeze_speech=frozen, freeze_text=frozen)
     run_finetune(tok["train"], tok["valid"], model, cfg, epochs=10)

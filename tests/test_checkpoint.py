@@ -111,6 +111,16 @@ class TestFusionCheckpoint:
         save_fusion_checkpoint(p2, model, label_mode="categorical")
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_head_width_mismatch_rejected_at_load(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_fusion_checkpoint(path, self.build_model(), label_mode="categorical")
+        meta, blocks = load_checkpoint(path)
+        blocks["fusion.head.w"] = np.zeros((16, 8))  # coattn over 16 + 8 needs 24 rows
+        save_checkpoint(path, meta, blocks)
+        with pytest.raises(InputError) as err:
+            load_fusion_checkpoint(path)
+        assert str(path) in str(err.value) and "24" in str(err.value)
+
     def test_unimodal_model_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
         speech = EncoderState.init(CFG, rng)

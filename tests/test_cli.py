@@ -141,6 +141,19 @@ class TestFinetune:
             workspace, tmp_path,
             ["--require-pretrained", "--speech-checkpoint", str(tmp_path / "nope.ckpt")]) == 2
 
+    def test_pretrained_config_mismatch_is_input_error(self, workspace, tmp_path, capsys):
+        pre = tmp_path / "pre"
+        assert main(["pretrain", "--dataset", f"{workspace}/dataset.jsonl",
+                     "--codebook", f"{workspace}/codebook.bin", "--out-dir", str(pre),
+                     "--steps", "1", "--batch-size", "2", "--seed", "0",
+                     *TINY_ARCH, "--speech-layers", "2"]) == 0
+        ckpt = pre / "speech_encoder.ckpt"
+        capsys.readouterr()
+        assert self.run_finetune(workspace, tmp_path / "ft",
+                                 ["--speech-checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "n_layers" in err
+
     def test_incoherent_freeze_combo_is_usage_error(self, workspace, tmp_path):
         assert self.run_finetune(
             workspace, tmp_path, ["--fusion", "speech-only", "--freeze", "text"]) == 1
@@ -261,6 +274,27 @@ class TestAblate:
         csv_lines = (out / "ablation.csv").read_text().splitlines()
         assert csv_lines[0] == "cell,rep,seed,metric,value"
         assert len(csv_lines) == 1 + 6 * 9  # 6 cells x (acc4 + 4 BA + 4 F1)
+
+    def test_cell_trains_like_finetune(self, workspace, tmp_path):
+        # 8 epochs of 4 steps: the 6% default warmup is 1 step, so a cell
+        # that dropped --warmup-steps 5 would train on another schedule.
+        common = ["--dataset", f"{workspace}/dataset.jsonl",
+                  "--vocab", f"{workspace}/vocab.txt",
+                  "--codebook", f"{workspace}/codebook.bin",
+                  "--epochs", "8", "--lr", "1e-2", "--batch-size", "8", "--seed", "0",
+                  "--warmup-steps", "5", *TINY_ARCH]
+        assert main(["finetune", "--out-dir", str(tmp_path / "ft"),
+                     "--fusion", "coattn", *common]) == 0
+        assert main(["ablate", "--out-dir", str(tmp_path / "abl"), "--reps", "1", *common]) == 0
+        finetune = {row[2]: row[3] for row in
+                    (ln.split(",") for ln in (tmp_path / "ft/metrics.csv").read_text().splitlines())
+                    if row[:2] == ["final", "test"]}
+        cell = {row[3]: row[4] for row in
+                (ln.split(",") for ln in (tmp_path / "abl/ablation.csv").read_text().splitlines())
+                if row[0] == "coattn-ft"}
+        assert cell.pop("acc4") == finetune["accuracy4"]
+        for metric, value in cell.items():
+            assert finetune[metric.replace("ba[", "binary_accuracy[")] == value, metric
 
 
 class TestExitCodesAndHelp:

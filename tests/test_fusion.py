@@ -213,6 +213,30 @@ class TestFusionModel:
             FusionModel("coattn", LinearHead.zeros(20, 8),
                         speech=self.speech_state, text=self.text_state)
 
+    def test_head_width_must_match_kind(self):
+        with pytest.raises(ConfigError):
+            FusionModel("shallow", LinearHead.zeros(8, 8),
+                        speech=self.speech_state, text=self.text_state)
+        with pytest.raises(ConfigError):
+            FusionModel("text-only", LinearHead.zeros(20, 8), text=self.text_state)
+
+    def test_init_draw_order(self):
+        cfg_s, cfg_t = self.speech_state.cfg, self.text_state.cfg
+        for kind in ("shallow", "coattn", "speech-only", "text-only"):
+            model = FusionModel.init(kind, cfg_s, cfg_t, n_outputs=8, coattn_heads=2,
+                                     rng=np.random.default_rng(5), fusion_dropout=0.1)
+            rng = np.random.default_rng(5)
+            speech = EncoderState.init(cfg_s, rng) if kind != "text-only" else None
+            text = EncoderState.init(cfg_t, rng) if kind != "speech-only" else None
+            width = {"speech-only": 8, "text-only": 12}.get(kind, 20)
+            head = LinearHead.init(width, 8, rng)
+            block = CoAttentionBlock.init(8, 12, 2, rng) if kind == "coattn" else None
+            manual = FusionModel(kind, head, speech=speech, text=text, block=block)
+            assert model.fusion_dropout == 0.1
+            ours, theirs = model.named_params(), manual.named_params()
+            assert list(ours) == list(theirs)
+            assert all(np.array_equal(ours[n].data, theirs[n].data) for n in ours), kind
+
     def test_named_params_cover_components(self):
         block = CoAttentionBlock.zeros(8, 12, n_heads=2)
         model = FusionModel("coattn", LinearHead.zeros(20, 8),

@@ -43,13 +43,14 @@ class TestMatmul:
         out = T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.ones((3, 4))))
         assert np.array_equal(out.data, np.zeros((2, 4)))
 
-    def test_matches_triple_loop_exactly_small_dims(self, rng):
+    def test_matches_triple_loop_small_dims(self, rng):
+        # BLAS may reorder the accumulation, so agreement is to rounding only.
         for _ in range(300):
             m, k, n = rng.integers(1, 9, size=3)
             a = rng.standard_normal((m, k))
             b = rng.standard_normal((k, n))
             got = T.matmul(T.Tensor(a), T.Tensor(b)).data
-            assert np.array_equal(got, triple_loop_matmul(a, b))
+            np.testing.assert_allclose(got, triple_loop_matmul(a, b), rtol=1e-12, atol=1e-12)
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError) as err:

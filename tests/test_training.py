@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from emofuse import tensor as T
-from emofuse.data import generate_synthetic, tokenize_examples
-from emofuse.encoder import EncoderConfig, EncoderState
+from emofuse.data import TokenizedExample, generate_synthetic, tokenize_examples
+from emofuse.encoder import EncoderConfig, EncoderState, forward
 from emofuse.errors import ConfigError, NumericError, UsageError
 from emofuse.fusion import FusionModel, LinearHead
 from emofuse.speech import train_codebook
@@ -16,6 +16,8 @@ from emofuse.tokens import CLS, TokenSequence
 from emofuse.training import (
     AdamState,
     TrainConfig,
+    _EncoderCache,
+    _model_outputs,
     adam_step,
     classification_loss,
     collect_gradients,
@@ -107,10 +109,12 @@ class TestAdam:
 
     def test_nan_gradient_names_parameter(self):
         cfg = TrainConfig(total_steps=10, warmup_steps=1)
-        params, grads, opt = self.make([1.0], [np.nan])
-        with pytest.raises(NumericError) as err:
-            adam_step(params, grads, opt, 1e-3, cfg)
-        assert "'w'" in str(err.value)
+        for bad in (np.nan, np.inf, -np.inf):
+            params, grads, opt = self.make([1.0], [bad])
+            with pytest.raises(NumericError) as err:
+                adam_step(params, grads, opt, 1e-3, cfg)
+            assert "'w'" in str(err.value)
+            assert params["w"].data[0] == 1.0
 
 
 def tiny_corpus(rng, n_seqs=4, body=8):
@@ -324,6 +328,20 @@ class TestFinetune:
         assert report.mae is not None and report.acc7 is not None
         losses = [h["value"] for h in result.history if h["metric"] == "loss"]
         assert losses[-1] < losses[0]
+
+
+class TestEncoderCache:
+    def test_duplicate_ids_keep_their_own_features(self):
+        state = EncoderState.init(TINY, np.random.default_rng(0))
+        model = FusionModel("speech-only", LinearHead.init(16, 8, np.random.default_rng(1)),
+                            speech=state)
+        text = TokenSequence("text", (CLS, 7))
+        first = TokenizedExample("dup", TokenSequence("speech", (CLS, 5, 6)), text, 0)
+        second = TokenizedExample("dup", TokenSequence("speech", (CLS, 9, 8, 7)), text, 1)
+        cache = _EncoderCache(state)
+        for ex in (first, second):
+            cached, _ = _model_outputs(model, ex, False, None, cache, None)
+            assert np.array_equal(cached.hidden.data, forward(ex.speech, state).hidden.data)
 
 
 class TestClassificationHead:
