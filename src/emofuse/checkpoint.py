@@ -16,7 +16,9 @@ moments; meta carries the configs needed to rebuild them.
 from __future__ import annotations
 
 import json
+import math
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -46,14 +48,22 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise InputError(f"{path}: not a checkpoint file")
-    (header_len,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
+    offset = 12 + int.from_bytes(raw[8:12], "little")
+    if len(raw) < 12 or offset > len(raw):
+        raise InputError(f"{path}: truncated checkpoint header")
+    try:
+        header = json.loads(raw[12:offset].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise InputError(f"{path}: unreadable checkpoint header ({err})") from None
+    if (not isinstance(header, dict) or not isinstance(header.get("meta"), dict)
+            or not isinstance(header.get("blocks"), list)):
+        raise InputError(f"{path}: checkpoint header needs a 'meta' object and a 'blocks' list")
     blocks: dict[str, np.ndarray] = {}
-    offset = 12 + header_len
     for entry in header["blocks"]:
+        if not _valid_block_entry(entry) or entry["name"] in blocks:
+            raise InputError(f"{path}: malformed or repeated block entry {entry!r}")
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + count * 8
+        end = offset + math.prod(shape) * 8
         if end > len(raw):
             raise InputError(f"{path}: truncated checkpoint at block {entry['name']!r}")
         blocks[entry["name"]] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy()
@@ -61,6 +71,22 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     if offset != len(raw):
         raise InputError(f"{path}: {len(raw) - offset} trailing bytes after last block")
     return header["meta"], blocks
+
+
+def _valid_block_entry(entry) -> bool:
+    """A ``{"name": str, "shape": [non-negative int, ...]}`` header entry."""
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in entry["shape"]))
+
+
+@contextmanager
+def _metadata_errors(path: str | Path):
+    """Report a config that the header's metadata cannot build as an InputError."""
+    try:
+        yield
+    except (ConfigError, KeyError, TypeError, ValueError) as err:
+        raise InputError(f"{path}: invalid checkpoint metadata ({type(err).__name__}: {err})") from None
 
 
 def encoder_blocks(state: EncoderState, prefix: str = "") -> dict[str, np.ndarray]:
@@ -94,8 +120,8 @@ def load_encoder_checkpoint(path: str | Path) -> tuple[EncoderState, dict, dict[
     meta, blocks = load_checkpoint(path)
     if meta.get("kind") != "encoder":
         raise InputError(f"{path}: not an encoder checkpoint")
-    cfg = EncoderConfig(**meta["config"])
-    state = encoder_from_blocks(cfg, blocks)
+    with _metadata_errors(path):
+        state = encoder_from_blocks(EncoderConfig(**meta["config"]), blocks)
     extras = {n: a for n, a in blocks.items() if n not in state.params}
     return state, meta, extras
 
@@ -133,22 +159,21 @@ def load_fusion_checkpoint(path: str | Path) -> tuple[FusionModel, dict]:
         return blocks[name]
 
     speech = text = block = None
-    if meta["speech_config"]:
-        speech = encoder_from_blocks(EncoderConfig(**meta["speech_config"]), blocks, "speech.")
-    if meta["text_config"]:
-        text = encoder_from_blocks(EncoderConfig(**meta["text_config"]), blocks, "text.")
-    if meta["coattn"]:
-        dims = meta["coattn"]
-        block = CoAttentionBlock.zeros(dims["d_speech"], dims["d_text"], dims["n_heads"])
-        for name in block.params:
-            block.params[name] = T.Tensor(need(f"fusion.block.{name}").copy(), requires_grad=True)
-    head = LinearHead(
-        T.Tensor(need("fusion.head.w").copy(), requires_grad=True),
-        T.Tensor(need("fusion.head.b").copy(), requires_grad=True),
-    )
-    try:
+    with _metadata_errors(path):
+        if meta["speech_config"]:
+            speech = encoder_from_blocks(EncoderConfig(**meta["speech_config"]), blocks, "speech.")
+        if meta["text_config"]:
+            text = encoder_from_blocks(EncoderConfig(**meta["text_config"]), blocks, "text.")
+        if meta["coattn"]:
+            dims = meta["coattn"]
+            block = CoAttentionBlock.zeros(dims["d_speech"], dims["d_text"], dims["n_heads"])
+            for name in block.params:
+                block.params[name] = T.Tensor(need(f"fusion.block.{name}").copy(),
+                                              requires_grad=True)
+        head = LinearHead(
+            T.Tensor(need("fusion.head.w").copy(), requires_grad=True),
+            T.Tensor(need("fusion.head.b").copy(), requires_grad=True),
+        )
         model = FusionModel(meta["fusion"], head, speech=speech, text=text, block=block,
                             fusion_dropout=meta.get("fusion_dropout", 0.0))
-    except ConfigError as err:
-        raise InputError(f"{path}: {err}") from None
     return model, meta

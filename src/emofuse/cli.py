@@ -62,8 +62,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_dir(args) -> Path:
-    root = args.out_dir or os.environ.get("EMOFUSE_OUT") or "runs"
-    path = Path(root)
+    path = Path(args.out_dir or os.environ.get("EMOFUSE_OUT") or "runs")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -132,19 +131,12 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
             setattr(args, dest, _parse_config_value(raw))
 
 
-def _speech_config(args, vocab_size: int) -> EncoderConfig:
+def _encoder_config(args, modality: str, vocab_size: int) -> EncoderConfig:
+    """The --speech-* or --text-* architecture flags as an EncoderConfig."""
+    flag = lambda name: getattr(args, f"{modality}_{name}")
     return EncoderConfig(
-        n_layers=args.speech_layers, d_model=args.speech_dim, n_heads=args.speech_heads,
-        d_ff=args.speech_ff, vocab_size=vocab_size, max_len=args.speech_max_len,
-        dropout_rate=args.dropout,
-    )
-
-
-def _text_config(args, vocab_size: int) -> EncoderConfig:
-    return EncoderConfig(
-        n_layers=args.text_layers, d_model=args.text_dim, n_heads=args.text_heads,
-        d_ff=args.text_ff, vocab_size=vocab_size, max_len=args.text_max_len,
-        dropout_rate=args.dropout,
+        n_layers=flag("layers"), d_model=flag("dim"), n_heads=flag("heads"), d_ff=flag("ff"),
+        vocab_size=vocab_size, max_len=flag("max_len"), dropout_rate=args.dropout,
     )
 
 
@@ -158,18 +150,13 @@ def _train_config(args, **overrides) -> TrainConfig:
 
 
 def _metrics_csv(rows: list[tuple]) -> str:
-    lines = ["epoch,split,metric,value"]
-    for epoch, split, metric, value in rows:
-        lines.append(f"{epoch},{split},{metric},{value}")
+    lines = ["epoch,split,metric,value"] + [f"{e},{s},{m},{v}" for e, s, m, v in rows]
     return "\n".join(lines) + "\n"
 
 
 def _report_rows(report: MetricReport, epoch, split) -> list[tuple]:
-    rows = []
-    for scope, metric, value in report.rows():
-        name = metric if scope == "all" else f"{metric}[{scope}]"
-        rows.append((epoch, split, name, value))
-    return rows
+    return [(epoch, split, metric if scope == "all" else f"{metric}[{scope}]", value)
+            for scope, metric, value in report.rows()]
 
 
 def _print_report(report: MetricReport, title: str) -> None:
@@ -224,7 +211,6 @@ def cmd_pretrain(args) -> int:
     vocab_size = 5 + codebook.k
 
     start_step = 0
-    opt = None
     if args.resume:
         manifest.add_input(args.resume)
         state, meta, extras = load_encoder_checkpoint(args.resume)
@@ -237,23 +223,18 @@ def cmd_pretrain(args) -> int:
             step=start_step,
         )
     else:
-        cfg_enc = _speech_config(args, vocab_size)
-        state = EncoderState.init(cfg_enc, np.random.default_rng(args.seed))
+        state = EncoderState.init(_encoder_config(args, "speech", vocab_size),
+                                  np.random.default_rng(args.seed))
         if args.require_pretrained:
             raise UsageError("--require-pretrained needs --resume pointing at a checkpoint")
+        opt = AdamState.fresh(state.params)
 
     cfg = _train_config(args, total_steps=args.steps)
     ckpt_path = out / "speech_encoder.ckpt"
     log_lines: list[str] = []
-    if opt is None:
-        opt = AdamState.fresh(state.params)
-        opt.step = start_step
 
     def save_state() -> None:
-        extras = {}
-        for name in state.params:
-            extras[f"adam.m.{name}"] = opt.m[name]
-            extras[f"adam.v.{name}"] = opt.v[name]
+        extras = {f"adam.{k}.{name}": getattr(opt, k)[name] for name in state.params for k in "mv"}
         save_encoder_checkpoint(ckpt_path, state, extra_meta={"step": opt.step},
                                 extra_blocks=extras)
 
@@ -307,8 +288,8 @@ def _load_run_inputs(args, command: str):
                                        speech_max_len=args.speech_max_len,
                                        text_max_len=args.text_max_len)
               for split in dataset.splits}
-    return (manifest, splits, _speech_config(args, 5 + codebook.k),
-            _text_config(args, vocab.size))
+    return (manifest, splits, _encoder_config(args, "speech", 5 + codebook.k),
+            _encoder_config(args, "text", vocab.size))
 
 
 def _train_one(args, manifest, splits, speech_cfg, text_cfg, fusion, freeze, seed,
@@ -427,13 +408,11 @@ def cmd_ablate(args) -> int:
     table = _ablation_table(mean_rows)
     print(table)
 
+    mean = {cell: float(np.mean(accs)) for cell, accs in cell_acc.items()}
     observations = {
-        "finetuned_ge_frozen_shallow": float(np.mean(cell_acc["shallow-ft"]))
-        >= float(np.mean(cell_acc["shallow-frozen"])),
-        "coattn_beats_shallow_when_frozen": float(np.mean(cell_acc["coattn-frozen"]))
-        > float(np.mean(cell_acc["shallow-frozen"])),
-        "bimodal_beats_unimodal": float(np.mean(cell_acc["shallow-ft"]))
-        > max(float(np.mean(cell_acc["speech-only"])), float(np.mean(cell_acc["text-only"]))),
+        "finetuned_ge_frozen_shallow": mean["shallow-ft"] >= mean["shallow-frozen"],
+        "coattn_beats_shallow_when_frozen": mean["coattn-frozen"] > mean["shallow-frozen"],
+        "bimodal_beats_unimodal": mean["shallow-ft"] > max(mean["speech-only"], mean["text-only"]),
     }
     for name, value in observations.items():
         print(f"observation {name}: {value}")
@@ -481,14 +460,23 @@ def _add_train(p: argparse.ArgumentParser) -> None:
                    help="warmup updates (default: 6%% of total)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="emofuse", allow_abbrev=False,
-                     description=__doc__,
-                     formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
+_INPUT_HELP = {"dataset": "dataset JSONL path", "vocab": "vocabulary file path",
+               "codebook": "codebook file path"}
 
-    p = sub.add_parser("gen-data", help="generate a synthetic bimodal dataset",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+
+def _add_inputs(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", required=True, help=_INPUT_HELP[name])
+
+
+def build_parser() -> argparse.ArgumentParser:
+    defaults = argparse.ArgumentDefaultsHelpFormatter
+    parser = _Parser(prog="emofuse", allow_abbrev=False, description=__doc__,
+                     formatter_class=defaults)
+    sub = parser.add_subparsers(dest="command", required=True)
+    add = lambda name, text: sub.add_parser(name, help=text, formatter_class=defaults)
+
+    p = add("gen-data", "generate a synthetic bimodal dataset")
     p.add_argument("--n", type=int, default=200, help="number of examples")
     p.add_argument("--mode", choices=("categorical", "score"), default="categorical",
                    help="label kind")
@@ -496,18 +484,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("prepare", help="build the vocabulary and speech codebook",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--dataset", required=True, help="dataset JSONL path")
+    p = add("prepare", "build the vocabulary and speech codebook")
+    _add_inputs(p, "dataset")
     p.add_argument("--vocab-size", type=int, default=2000, help="max vocabulary size")
     p.add_argument("--codebook-size", type=int, default=256, help="codebook entries K")
     _add_common(p)
     p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("pretrain", help="masked-token pretraining of the speech encoder",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--dataset", required=True, help="dataset JSONL path")
-    p.add_argument("--codebook", required=True, help="codebook file path")
+    p = add("pretrain", "masked-token pretraining of the speech encoder")
+    _add_inputs(p, "dataset", "codebook")
     p.add_argument("--steps", type=int, default=500, help="total update steps")
     p.add_argument("--mask-rate", type=float, default=0.15, help="masking probability")
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
@@ -520,11 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train(p)
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("finetune", help="train a fusion model on a labeled dataset",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--dataset", required=True, help="dataset JSONL path")
-    p.add_argument("--vocab", required=True, help="vocabulary file path")
-    p.add_argument("--codebook", required=True, help="codebook file path")
+    p = add("finetune", "train a fusion model on a labeled dataset")
+    _add_inputs(p, "dataset", "vocab", "codebook")
     p.add_argument("--fusion", choices=FUSION_KINDS, default="shallow",
                    help="fusion mechanism")
     p.add_argument("--freeze", choices=FREEZE_CHOICES, default="none",
@@ -540,21 +522,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train(p)
     p.set_defaults(func=cmd_finetune)
 
-    p = sub.add_parser("evaluate", help="evaluate a fusion checkpoint on a dataset split",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("evaluate", "evaluate a fusion checkpoint on a dataset split")
     p.add_argument("--model", required=True, help="fusion checkpoint path")
-    p.add_argument("--dataset", required=True, help="dataset JSONL path")
-    p.add_argument("--vocab", required=True, help="vocabulary file path")
-    p.add_argument("--codebook", required=True, help="codebook file path")
+    _add_inputs(p, "dataset", "vocab", "codebook")
     p.add_argument("--split", default="test", help="dataset split to evaluate")
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("ablate", help="run the fusion/freeze ablation grid",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--dataset", required=True, help="dataset JSONL path")
-    p.add_argument("--vocab", required=True, help="vocabulary file path")
-    p.add_argument("--codebook", required=True, help="codebook file path")
+    p = add("ablate", "run the fusion/freeze ablation grid")
+    _add_inputs(p, "dataset", "vocab", "codebook")
     p.add_argument("--epochs", type=int, default=10, help="training epochs per cell")
     p.add_argument("--reps", type=int, default=3, help="repetitions per cell")
     p.add_argument("--coattn-heads", type=int, default=4, help="co-attention heads")

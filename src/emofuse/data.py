@@ -167,10 +167,7 @@ def _stratified_splits(labels: np.ndarray, rng: np.random.Generator) -> dict[str
 
 def save_jsonl(dataset: Dataset, path: str | Path) -> None:
     """One JSON object per line; floats keep full precision so reloads are exact."""
-    split_of = {}
-    for name, members in dataset.splits.items():
-        for i in members:
-            split_of[i] = name
+    split_of = {i: name for name, members in dataset.splits.items() for i in members}
     lines = []
     for i, ex in enumerate(dataset.examples):
         record: dict = {"id": ex.id, "frames": ex.frames.tolist(), "text": ex.text}
@@ -199,13 +196,18 @@ def load_jsonl(path: str | Path, featurizer: FrameFeaturizerConfig | None = None
     examples: list[LabeledExample] = []
     splits: dict[str, list[int]] = {}
     label_mode: str | None = None
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    first_line: dict[str, int] = {}
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
         if not raw.strip():
             continue
         try:
-            record = json.loads(raw)
+            record = json.loads(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+        if not isinstance(record, dict):
+            raise InputError(f"{path}:{lineno}: a record must be a JSON object")
         for field in ("id", "text"):
             if field not in record:
                 raise InputError(f"{path}:{lineno}: missing field {field!r}")
@@ -218,12 +220,23 @@ def load_jsonl(path: str | Path, featurizer: FrameFeaturizerConfig | None = None
             label_mode = mode
         elif label_mode != mode:
             raise InputError(f"{path}:{lineno}: mixes label and score records")
+        example_id = str(record["id"])
+        first = first_line.setdefault(example_id, lineno)
+        if first != lineno:
+            raise InputError(f"{path}:{lineno}: duplicate id {example_id!r} (first on line {first})")
         if "frames" in record:
-            frames = np.asarray(record["frames"], dtype=np.float64)
-            if frames.ndim != 2:
-                raise InputError(f"{path}:{lineno}: frames must be a 2-D list")
+            try:
+                frames = np.asarray(record["frames"], dtype=np.float64)
+            except (TypeError, ValueError):
+                frames = None
+            if frames is None or frames.ndim != 2:
+                raise InputError(f"{path}:{lineno}: frames must be a 2-D list of numbers")
         else:
-            samples = np.load(path.parent / record["audio_path"])
+            audio = record["audio_path"]
+            try:
+                samples = np.load(path.parent / audio)
+            except (OSError, TypeError, ValueError) as exc:
+                raise InputError(f"{path}:{lineno}: cannot load audio_path {audio!r} ({exc})") from None
             frames = featurize(samples, featurizer or FrameFeaturizerConfig())
         label = score = None
         if mode == "categorical":
@@ -231,12 +244,13 @@ def load_jsonl(path: str | Path, featurizer: FrameFeaturizerConfig | None = None
             if isinstance(label, bool) or not isinstance(label, int) or not (0 <= label < 4):
                 raise InputError(f"{path}:{lineno}: label must be an integer in 0..3")
         else:
-            score = float(record["score"])
-            if not (-3.0 <= score <= 3.0):
-                raise InputError(f"{path}:{lineno}: score {score} outside [-3, 3]")
+            score = record["score"]
+            if type(score) not in (int, float) or not (-3.0 <= score <= 3.0):
+                raise InputError(f"{path}:{lineno}: score {score!r} is not a number in [-3, 3]")
+            score = float(score)
         splits.setdefault(record.get("split", "train"), []).append(len(examples))
         examples.append(LabeledExample(
-            id=str(record["id"]), frames=frames, text=str(record["text"]),
+            id=example_id, frames=frames, text=str(record["text"]),
             label=label, score=score,
         ))
     return Dataset(examples=examples, label_mode=label_mode or "categorical", splits=splits)

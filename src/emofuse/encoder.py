@@ -21,6 +21,8 @@ from .tokens import MASK, N_SPECIALS, TokenSequence
 
 INIT_STD = 0.02
 
+_ATTN_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -147,36 +149,36 @@ class EncoderState:
 
 @dataclass
 class EncoderOutput:
-    """Hidden states [L x d_model]; row 0 is the CLS vector."""
+    """Hidden states [L x d_model], row 0 the CLS vector; when collected, one
+    [n_heads x L x L] attention array per layer."""
 
     hidden: T.Tensor
-    attentions: list[list[np.ndarray]] | None = None
+    attentions: list[np.ndarray] | None = None
 
     @property
     def cls(self) -> T.Tensor:
         return T.gather_rows(self.hidden, np.array([0]))
 
 
-def _self_attention(x, prms, prefix, n_heads, collect):
-    d = x.data.shape[1]
+def multi_head_attention(x, kv, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
+    """Scaled dot-product attention of the rows of ``x`` over the rows of ``kv``.
+
+    Self-attention passes ``kv = x``; co-attention passes the other modality's
+    sequence. The heads run as one [n_heads x L x d_head] batch. Returns the
+    output [Lq x d] and the weights [n_heads x Lq x Lkv].
+    """
+    d = wq.data.shape[1]
     dh = d // n_heads
-    q = T.matmul(x, prms[f"{prefix}.wq"]) + prms[f"{prefix}.bq"]
-    k = T.matmul(x, prms[f"{prefix}.wk"]) + prms[f"{prefix}.bk"]
-    v = T.matmul(x, prms[f"{prefix}.wv"]) + prms[f"{prefix}.bv"]
-    heads = []
-    weights = [] if collect else None
-    for h in range(n_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        scores = T.scale(
-            T.matmul(T.slice_cols(q, lo, hi), T.transpose(T.slice_cols(k, lo, hi))),
-            1.0 / math.sqrt(dh),
-        )
-        attn = T.softmax_rows(scores)
-        if collect:
-            weights.append(attn.data.copy())
-        heads.append(T.matmul(attn, T.slice_cols(v, lo, hi)))
-    out = T.matmul(T.concat_cols(heads), prms[f"{prefix}.wo"]) + prms[f"{prefix}.bo"]
-    return out, weights
+
+    def split_heads(t):
+        return T.transpose(T.reshape(t, (t.data.shape[0], n_heads, dh)), (1, 0, 2))
+
+    q = split_heads(T.matmul(x, wq) + bq)
+    k = split_heads(T.matmul(kv, wk) + bk)
+    v = split_heads(T.matmul(kv, wv) + bv)
+    attn = T.softmax_rows(T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh)))
+    ctx = T.reshape(T.transpose(T.matmul(attn, v), (1, 0, 2)), (x.data.shape[0], d))
+    return T.matmul(ctx, wo) + bo, attn.data
 
 
 def forward(
@@ -205,11 +207,12 @@ def forward(
     prms = state.params
     x = T.gather_rows(prms["tok_emb"], ids) + T.gather_rows(prms["pos_emb"], np.arange(len(ids)))
     x = T.dropout(x, drop, rng, train_mode)
-    attns: list[list[np.ndarray]] = []
+    attns: list[np.ndarray] = []
     for i in range(cfg.n_layers):
         p = f"layers.{i}"
         h = T.layer_norm(x, prms[f"{p}.ln1.g"], prms[f"{p}.ln1.b"])
-        a, w = _self_attention(h, prms, f"{p}.attn", cfg.n_heads, collect_attention)
+        a, w = multi_head_attention(h, h, *(prms[f"{p}.attn.{n}"] for n in _ATTN_PARAMS),
+                                    cfg.n_heads)
         if collect_attention:
             attns.append(w)
         x = x + T.dropout(a, drop, rng, train_mode)

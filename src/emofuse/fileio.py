@@ -8,15 +8,19 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write bytes to a temp file in the target directory, then rename."""
+    """Write bytes to a temp file in the target directory, then rename.
+
+    The file gets mode 0666 less the umask, as one made by ``open()`` does.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -15,13 +15,12 @@ query modality's dimension, so per-direction parameter counts are
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .encoder import EncoderConfig, EncoderOutput, EncoderState
+from .encoder import EncoderConfig, EncoderOutput, EncoderState, multi_head_attention
 from .errors import ConfigError, InputError
 
 FUSION_KINDS = ("shallow", "coattn", "speech-only", "text-only")
@@ -94,8 +93,6 @@ class CoAttentionBlock:
     "tq" queries from the text CLS over the speech sequence.
     """
 
-    _PROJECTIONS = ("q", "k", "v", "o")
-
     def __init__(self, d_speech: int, d_text: int, n_heads: int, params: dict[str, T.Tensor]):
         if d_speech % n_heads != 0 or d_text % n_heads != 0:
             raise ConfigError(
@@ -110,14 +107,8 @@ class CoAttentionBlock:
     def shapes(cls, d_speech: int, d_text: int) -> list[tuple[str, tuple[int, int]]]:
         out: list[tuple[str, tuple[int, int]]] = []
         for pfx, d_q, d_kv in (("sq", d_speech, d_text), ("tq", d_text, d_speech)):
-            out.append((f"{pfx}.q_w", (d_q, d_q)))
-            out.append((f"{pfx}.q_b", (1, d_q)))
-            out.append((f"{pfx}.k_w", (d_kv, d_q)))
-            out.append((f"{pfx}.k_b", (1, d_q)))
-            out.append((f"{pfx}.v_w", (d_kv, d_q)))
-            out.append((f"{pfx}.v_b", (1, d_q)))
-            out.append((f"{pfx}.o_w", (d_q, d_q)))
-            out.append((f"{pfx}.o_b", (1, d_q)))
+            for proj, d_in in (("q", d_q), ("k", d_kv), ("v", d_kv), ("o", d_q)):
+                out += [(f"{pfx}.{proj}_w", (d_in, d_q)), (f"{pfx}.{proj}_b", (1, d_q))]
         return out
 
     @classmethod
@@ -148,30 +139,6 @@ def coattention_param_count(d_speech: int, d_text: int) -> int:
     return per_dir(d_speech, d_text) + per_dir(d_text, d_speech)
 
 
-def _attend_single_query(cls_vec, sequence, params, prefix, n_heads,
-                         drop_rate, train_mode, rng):
-    """One direction: the CLS queries the other modality's sequence."""
-    q = T.matmul(cls_vec, params[f"{prefix}.q_w"]) + params[f"{prefix}.q_b"]
-    k = T.matmul(sequence, params[f"{prefix}.k_w"]) + params[f"{prefix}.k_b"]
-    v = T.matmul(sequence, params[f"{prefix}.v_w"]) + params[f"{prefix}.v_b"]
-    d_q = q.data.shape[1]
-    dh = d_q // n_heads
-    ctx = []
-    weights = np.empty((n_heads, sequence.data.shape[0]))
-    for h in range(n_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        scores = T.scale(
-            T.matmul(T.slice_cols(q, lo, hi), T.transpose(T.slice_cols(k, lo, hi))),
-            1.0 / math.sqrt(dh),
-        )
-        attn = T.softmax_rows(scores)
-        weights[h] = attn.data[0]
-        ctx.append(T.matmul(attn, T.slice_cols(v, lo, hi)))
-    projected = T.matmul(T.concat_cols(ctx), params[f"{prefix}.o_w"]) + params[f"{prefix}.o_b"]
-    projected = T.dropout(projected, drop_rate, rng, train_mode)
-    return cls_vec + projected, weights
-
-
 def co_attend(
     speech_out: EncoderOutput,
     text_out: EncoderOutput,
@@ -187,12 +154,13 @@ def co_attend(
     """
     if speech_out.hidden.data.shape[0] < 1 or text_out.hidden.data.shape[0] < 1:
         raise InputError("co_attend needs non-empty sequences in both modalities")
-    cls_s, attn_s = _attend_single_query(
-        speech_out.cls, text_out.hidden, block.params, "sq", block.n_heads,
-        drop_rate, train_mode, rng)
-    cls_t, attn_t = _attend_single_query(
-        text_out.cls, speech_out.hidden, block.params, "tq", block.n_heads,
-        drop_rate, train_mode, rng)
+    out = []
+    for prefix, query, other in (("sq", speech_out, text_out), ("tq", text_out, speech_out)):
+        cls_vec = query.cls
+        params = (block.params[f"{prefix}.{p}_{kind}"] for p in "qkvo" for kind in "wb")
+        projected, weights = multi_head_attention(cls_vec, other.hidden, *params, block.n_heads)
+        out.append((cls_vec + T.dropout(projected, drop_rate, rng, train_mode), weights[:, 0]))
+    (cls_s, attn_s), (cls_t, attn_t) = out
     return cls_s, cls_t, {"speech_to_text": attn_s, "text_to_speech": attn_t}
 
 

@@ -94,12 +94,9 @@ class MetricReport:
         for name, vals in self.per_class.items():
             out.append((name, "binary_accuracy", vals["binary_accuracy"]))
             out.append((name, "f1", vals["f1"]))
-        if self.accuracy4 is not None:
-            out.append(("all", "accuracy4", self.accuracy4))
-        if self.acc7 is not None:
-            out.append(("all", "acc7", self.acc7))
-        if self.mae is not None:
-            out.append(("all", "mae", self.mae))
+        for metric in ("accuracy4", "acc7", "mae"):
+            if getattr(self, metric) is not None:
+                out.append(("all", metric, getattr(self, metric)))
         out.append(("all", "n_examples", float(self.n_examples)))
         return out
 

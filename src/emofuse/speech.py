@@ -124,6 +124,8 @@ class Codebook:
         raw = Path(path).read_bytes()
         if raw[:8] != _CODEBOOK_MAGIC:
             raise InputError(f"{path}: not a codebook file")
+        if len(raw) < 20:
+            raise InputError(f"{path}: truncated codebook header ({len(raw)} bytes)")
         version, k, dim = struct.unpack("<III", raw[8:20])
         expected = 20 + k * dim * 8
         if len(raw) != expected:

@@ -154,21 +154,25 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    """Matrix product of two 2-D tensors, or of two 3-D stacks matrix by matrix."""
+    if (a.data.ndim != b.data.ndim or a.data.ndim not in (2, 3)
+            or a.data.shape[:-2] != b.data.shape[:-2] or a.data.shape[-1] != b.data.shape[-2]):
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
     out = a.data @ b.data
 
     def vjp(g: Array):
-        return g @ b.data.T, a.data.T @ g
+        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
 
     return _result("matmul", out, (a, b), vjp)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got shape {a.shape}")
-    return _result("transpose", a.data.T, (a,), lambda g: (g.T,))
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute the axes by ``axes``; without it, swap the two axes of a 2-D tensor."""
+    axes = (1, 0) if axes is None else tuple(int(ax) for ax in axes)
+    if sorted(axes) != list(range(a.data.ndim)):
+        raise ShapeError(f"transpose: {axes} is not a permutation of the axes of {a.shape}")
+    inverse = tuple(np.argsort(axes))
+    return _result("transpose", a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -235,17 +239,17 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor, stabilized by max subtraction."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"softmax_rows needs a 2-D tensor, got shape {x.shape}")
+    """Softmax over the last axis (2 or more dimensions), stabilized by max subtraction."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"softmax_rows needs at least 2 dimensions, got shape {x.shape}")
     if np.isnan(x.data).any():
         raise NumericError("softmax_rows: NaN in input")
-    z = x.data - x.data.max(axis=1, keepdims=True)
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g: Array):
-        return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
+        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
     return _result("softmax_rows", y, (x,), vjp)
 

@@ -68,11 +68,17 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        try:
+            lines = Path(path).read_bytes().decode("utf-8").splitlines()
+        except UnicodeDecodeError as err:
+            raise InputError(f"{path}: vocabulary is not UTF-8 ({err})") from None
         if not lines or lines[0] != _VOCAB_HEADER:
             raise InputError(f"{path}: not a vocabulary file")
         tokens = [ln for ln in lines[1:] if not ln.startswith("#special")]
-        return cls(tokens)
+        try:
+            return cls(tokens)
+        except InputError as err:
+            raise InputError(f"{path}: {err}") from None
 
 
 def build_vocab(corpus: Iterable[str], max_size: int) -> Vocabulary:

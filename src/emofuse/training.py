@@ -291,18 +291,15 @@ class FinetuneResult:
 
 
 def _model_outputs(model, ex, train_mode, rng, speech_cache, text_cache):
-    speech_out = text_out = None
-    if model.needs_speech:
-        if speech_cache is not None:
-            speech_out = speech_cache.get(ex.speech)
-        else:
-            speech_out = forward(ex.speech, model.speech, train_mode=train_mode, rng=rng)
-    if model.needs_text:
-        if text_cache is not None:
-            text_out = text_cache.get(ex.text)
-        else:
-            text_out = forward(ex.text, model.text, train_mode=train_mode, rng=rng)
-    return speech_out, text_out
+    def encode(needed, seq, state, cache):
+        if not needed:
+            return None
+        if cache is not None:
+            return cache.get(seq)
+        return forward(seq, state, train_mode=train_mode, rng=rng)
+
+    return (encode(model.needs_speech, ex.speech, model.speech, speech_cache),
+            encode(model.needs_text, ex.text, model.text, text_cache))
 
 
 def _example_loss(model, ex, label_mode, train_mode, rng, speech_cache, text_cache):

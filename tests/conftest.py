@@ -1,5 +1,7 @@
 """Shared test helpers, chiefly the central finite-difference gradient oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,30 @@ def randomize_state(state, rng, scale=0.5):
     for p in state.params.values():
         p.data = rng.normal(0.0, scale, size=p.data.shape)
     return state
+
+
+def per_head_attention(x, kv, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
+    """Reference oracle for multi-head attention: one 2-D loop body per head.
+
+    Slices each head's columns out of the projections, attends, and
+    concatenates the heads; returns the output and the [n_heads x Lq x Lkv]
+    weights, like ``encoder.multi_head_attention``.
+    """
+    q = T.matmul(x, wq) + bq
+    k = T.matmul(kv, wk) + bk
+    v = T.matmul(kv, wv) + bv
+    dh = q.data.shape[1] // n_heads
+    heads, weights = [], []
+    for h in range(n_heads):
+        lo, hi = h * dh, (h + 1) * dh
+        scores = T.scale(
+            T.matmul(T.slice_cols(q, lo, hi), T.transpose(T.slice_cols(k, lo, hi))),
+            1.0 / math.sqrt(dh),
+        )
+        attn = T.softmax_rows(scores)
+        weights.append(attn.data)
+        heads.append(T.matmul(attn, T.slice_cols(v, lo, hi)))
+    return T.matmul(T.concat_cols(heads), wo) + bo, np.stack(weights)
 
 
 @pytest.fixture

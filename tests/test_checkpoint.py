@@ -1,9 +1,13 @@
 """Checkpoint container: byte-exact save/load for encoders and fusion models."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from emofuse.checkpoint import (
+    MAGIC,
     load_checkpoint,
     load_encoder_checkpoint,
     load_fusion_checkpoint,
@@ -16,6 +20,30 @@ from emofuse.errors import InputError
 from emofuse.fusion import CoAttentionBlock, FusionModel, LinearHead
 
 CFG = EncoderConfig(2, 16, 2, 32, 11, 12, dropout_rate=0.1)
+
+
+def _header(obj) -> bytes:
+    text = json.dumps(obj).encode()
+    return struct.pack("<I", len(text)) + text
+
+
+# What follows the magic in each malformed checkpoint.
+MALFORMED_HEADERS = {
+    "short": b"\x05\x00",
+    "not_utf8": struct.pack("<I", 2) + b"\xff\xfe",
+    "not_json": struct.pack("<I", 5) + b"{nope",
+    "past_end": struct.pack("<I", 40) + b"{}",
+    "no_meta": _header({"blocks": []}),
+    "no_blocks": _header({"meta": {}}),
+    "meta_not_object": _header({"meta": [], "blocks": []}),
+    "entry_without_shape": _header({"meta": {}, "blocks": [{"name": "w"}]}),
+    "entry_without_name": _header({"meta": {}, "blocks": [{"shape": [1]}]}),
+    "entry_shape_not_ints": _header({"meta": {}, "blocks": [{"name": "w", "shape": ["2"]}]}),
+    "entry_negative_shape": _header({"meta": {}, "blocks": [{"name": "w", "shape": [-1]}]}),
+    "entry_not_object": _header({"meta": {}, "blocks": ["w"]}),
+    "entry_repeated": _header({"meta": {}, "blocks": [{"name": "w", "shape": []}] * 2})
+    + b"\x00" * 16,
+}
 
 
 class TestRawContainer:
@@ -50,6 +78,14 @@ class TestRawContainer:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(InputError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_HEADERS))
+    def test_malformed_header_is_input_error_naming_file(self, tmp_path, name):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(MAGIC + MALFORMED_HEADERS[name])
+        with pytest.raises(InputError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
 
     def test_trailing_garbage_detected(self, tmp_path, rng):
         path = tmp_path / "x.ckpt"
@@ -110,6 +146,22 @@ class TestFusionCheckpoint:
         save_fusion_checkpoint(p1, model, label_mode="categorical")
         save_fusion_checkpoint(p2, model, label_mode="categorical")
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.pop("speech_config"),
+        lambda meta: meta["text_config"].update(n_heads=3),
+        lambda meta: meta["coattn"].pop("n_heads"),
+        lambda meta: meta["speech_config"].update(bogus=1),
+    ])
+    def test_metadata_that_builds_no_model_is_input_error(self, tmp_path, edit):
+        path = tmp_path / "model.ckpt"
+        save_fusion_checkpoint(path, self.build_model(), label_mode="categorical")
+        meta, blocks = load_checkpoint(path)
+        edit(meta)
+        save_checkpoint(path, meta, blocks)
+        with pytest.raises(InputError) as err:
+            load_fusion_checkpoint(path)
+        assert str(path) in str(err.value)
 
     def test_head_width_mismatch_rejected_at_load(self, tmp_path):
         path = tmp_path / "model.ckpt"

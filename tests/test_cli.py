@@ -1,11 +1,12 @@
 """CLI harness: determinism, atomicity, exit codes, manifests."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from emofuse.checkpoint import load_checkpoint, load_encoder_checkpoint
+from emofuse.checkpoint import MAGIC, load_checkpoint, load_encoder_checkpoint
 from emofuse.cli import main
 from emofuse.fileio import sha256_file
 
@@ -45,6 +46,18 @@ class TestGenData:
 
     def test_too_small_n_is_input_error(self, tmp_path):
         assert main(["gen-data", "--out-dir", str(tmp_path), "--n", "10"]) == 2
+
+    def test_artifact_mode_matches_plain_open(self, tmp_path):
+        old_umask = os.umask(0o022)
+        try:
+            assert main(["gen-data", "--out-dir", str(tmp_path), "--n", "40", "--seed", "1"]) == 0
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+        finally:
+            os.umask(old_umask)
+        want = os.stat(tmp_path / "plain.txt").st_mode
+        assert os.stat(tmp_path / "dataset.jsonl").st_mode == want
+        assert os.stat(tmp_path / "gen-data.manifest.json").st_mode == want
 
 
 class TestPrepare:
@@ -239,6 +252,18 @@ class TestEvaluate:
                      "--vocab", f"{workspace}/vocab.txt",
                      "--codebook", f"{workspace}/codebook.bin",
                      "--out-dir", str(out), "--split", "test"]) == 0
+
+    def test_malformed_checkpoint_header_exits_2(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(MAGIC + (5).to_bytes(4, "little") + b"{nope")
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(bad),
+                     "--dataset", f"{workspace}/dataset.jsonl",
+                     "--vocab", f"{workspace}/vocab.txt",
+                     "--codebook", f"{workspace}/codebook.bin",
+                     "--out-dir", str(tmp_path), "--split", "test"]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
 
     def test_missing_split_rejected(self, workspace, tmp_path):
         out = tmp_path / "ft"

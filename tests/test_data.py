@@ -190,6 +190,34 @@ class TestJsonl:
         with pytest.raises(InputError):
             load_jsonl(tmp_path / "nope.jsonl")
 
+    def test_non_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = json.dumps({"id": "a", "frames": [[0.0]], "text": "x", "label": 0})
+        path.write_bytes(good.encode() + b"\n" + b'{"id": "b\xff"}\n')
+        with pytest.raises(InputError) as err:
+            load_jsonl(path)
+        assert f"{path}:2:" in str(err.value)
+
+    def test_missing_audio_file_names_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps(
+            {"id": "a", "audio_path": "gone.npy", "text": "hi", "label": 1}) + "\n")
+        with pytest.raises(InputError) as err:
+            load_jsonl(path)
+        assert f"{path}:1:" in str(err.value) and "gone.npy" in str(err.value)
+
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        rows = [
+            {"id": "a", "frames": [[0.0]], "text": "x", "label": 0},
+            {"id": "b", "frames": [[0.0]], "text": "y", "label": 1},
+            {"id": "a", "frames": [[1.0]], "text": "z", "label": 2},
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(InputError) as err:
+            load_jsonl(path)
+        assert f"{path}:3:" in str(err.value) and "line 1" in str(err.value)
+
 
 class TestTokenize:
     def test_tokenized_sequences_valid(self):

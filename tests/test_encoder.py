@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from emofuse import tensor as T
 from emofuse.encoder import (
     EncoderConfig,
     EncoderState,
@@ -13,13 +14,14 @@ from emofuse.encoder import (
     forward,
     mask_corrupt,
     masked_lm_loss,
+    multi_head_attention,
     param_count,
     parameter_shapes,
 )
 from emofuse.errors import ConfigError, InputError
 from emofuse.tokens import CLS, MASK, N_SPECIALS, TokenSequence
 
-from conftest import assert_grads_match, randomize_state
+from conftest import assert_grads_match, per_head_attention, randomize_state
 
 TINY = EncoderConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32,
                      vocab_size=11, max_len=12, dropout_rate=0.1)
@@ -95,6 +97,39 @@ class TestForward:
         expected = base.copy()
         expected[[i, j]] = expected[[j, i]]
         assert np.allclose(swapped, expected, atol=1e-10)
+
+
+class TestMultiHeadAttention:
+    """The head-batched routine against the per-head reference loop."""
+
+    # (query rows, key/value rows, d_query, d_kv, heads): self-attention at
+    # test and desk widths, then both co-attention directions (one CLS query).
+    CASES = [(7, 7, 16, 16, 2), (48, 48, 128, 128, 4), (1, 12, 128, 160, 4), (1, 48, 160, 128, 4)]
+
+    @pytest.mark.parametrize("lq, lkv, d_q, d_kv, heads", CASES)
+    def test_matches_per_head_oracle(self, rng, lq, lkv, d_q, d_kv, heads):
+        x = T.Tensor(rng.standard_normal((lq, d_q)), requires_grad=True)
+        self_attention = (lq, d_q) == (lkv, d_kv)
+        kv = x if self_attention else T.Tensor(rng.standard_normal((lkv, d_kv)), requires_grad=True)
+        shapes = [(d_q, d_q), (1, d_q), (d_kv, d_q), (1, d_q),
+                  (d_kv, d_q), (1, d_q), (d_q, d_q), (1, d_q)]
+        params = [T.Tensor(rng.normal(0.0, 0.3, size=s), requires_grad=True) for s in shapes]
+        leaves = [x, *params] if self_attention else [x, kv, *params]
+        probe = T.Tensor(rng.standard_normal((lq, d_q)))
+
+        results = []
+        for attend in (multi_head_attention, per_head_attention):
+            out, weights = attend(x, kv, *params, heads)
+            T.zero_grads(leaves)
+            T.backward(T.sum_all(T.mul(out, probe)))
+            results.append((out.data, weights, [leaf.grad for leaf in leaves]))
+        (out, weights, grads), (ref_out, ref_weights, ref_grads) = results
+
+        assert weights.shape == (heads, lq, lkv)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(weights, ref_weights)
+        for got, want in zip(grads, ref_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestMaskCorrupt:

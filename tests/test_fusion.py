@@ -19,7 +19,7 @@ from emofuse.fusion import (
 )
 from emofuse.tokens import CLS, TokenSequence
 
-from conftest import assert_grads_match
+from conftest import assert_grads_match, per_head_attention
 
 D_S, D_T = 8, 12
 
@@ -139,6 +139,21 @@ class TestCoAttend:
         base, _, _ = co_attend(speech, EncoderOutput(hidden=T.Tensor(text_rows)), block)
         shuffled, _, _ = co_attend(speech, EncoderOutput(hidden=T.Tensor(text_rows[perm])), block)
         assert np.allclose(base.data, shuffled.data, atol=1e-10)
+
+    def test_each_direction_matches_per_head_oracle(self, rng):
+        block = CoAttentionBlock.init(D_S, D_T, n_heads=2, rng=rng)
+        speech = fake_output(rng, 5, D_S)
+        text = fake_output(rng, 7, D_T)
+        cls_s, cls_t, attn = co_attend(speech, text, block)
+        names = ("q_w", "q_b", "k_w", "k_b", "v_w", "v_b", "o_w", "o_b")
+        for prefix, query, other, got, weights in (
+            ("sq", speech, text, cls_s, attn["speech_to_text"]),
+            ("tq", text, speech, cls_t, attn["text_to_speech"]),
+        ):
+            ref, ref_weights = per_head_attention(
+                query.cls, other.hidden, *(block.params[f"{prefix}.{n}"] for n in names), 2)
+            assert np.array_equal(got.data, query.cls.data + ref.data)
+            assert np.array_equal(weights, ref_weights[:, 0])
 
     def test_zero_block_returns_original_cls(self, rng):
         block = CoAttentionBlock.zeros(D_S, D_T, n_heads=2)

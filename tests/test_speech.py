@@ -164,6 +164,13 @@ class TestCodebookPersistence:
         with pytest.raises(InputError):
             Codebook.load(path)
 
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "codebook.bin"
+        path.write_bytes(b"EMFCBOOK" + b"\x01\x00\x00\x00\x04")
+        with pytest.raises(InputError) as err:
+            Codebook.load(path)
+        assert str(path) in str(err.value)
+
     def test_duplicate_centroids_rejected(self):
         with pytest.raises(InputError):
             Codebook(np.array([[1.0, 2.0], [1.0, 2.0]]))

@@ -57,6 +57,20 @@ class TestMatmul:
             T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 5))))
         assert "(2, 3)" in str(err.value) and "(4, 5)" in str(err.value)
 
+    def test_stacks_must_share_leading_dim(self):
+        with pytest.raises(ShapeError) as err:
+            T.matmul(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((3, 4, 5))))
+        assert "(2, 3, 4)" in str(err.value) and "(3, 4, 5)" in str(err.value)
+        with pytest.raises(ShapeError):
+            T.matmul(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((4, 5))))
+
+    def test_stack_is_matrix_by_matrix(self, rng):
+        a = rng.standard_normal((3, 4, 5))
+        b = rng.standard_normal((3, 5, 2))
+        got = T.matmul(T.Tensor(a), T.Tensor(b)).data
+        for i in range(3):
+            np.testing.assert_allclose(got[i], triple_loop_matmul(a[i], b[i]), rtol=1e-12, atol=1e-12)
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -88,6 +102,29 @@ class TestSoftmax:
     def test_nan_input_rejected(self):
         with pytest.raises(NumericError):
             T.softmax_rows(T.Tensor([[np.nan, 0.0]]))
+
+    def test_3d_is_softmax_of_each_matrix(self, rng):
+        x = rng.standard_normal((3, 4, 5))
+        got = T.softmax_rows(T.Tensor(x)).data
+        for i in range(3):
+            assert np.array_equal(got[i], T.softmax_rows(T.Tensor(x[i])).data)
+
+    def test_1d_rejected(self):
+        with pytest.raises(ShapeError):
+            T.softmax_rows(T.Tensor([0.0, 1.0]))
+
+
+class TestTranspose:
+    def test_axes_permute(self, rng):
+        x = rng.standard_normal((2, 3, 4))
+        assert np.array_equal(T.transpose(T.Tensor(x), (1, 0, 2)).data, x.transpose(1, 0, 2))
+        assert np.array_equal(T.transpose(T.Tensor(x[0])).data, x[0].T)
+
+    def test_bad_axes_rejected(self):
+        x = T.Tensor(np.zeros((2, 3, 4)))
+        for axes in (None, (0, 1), (0, 1, 1), (0, 1, 3)):
+            with pytest.raises(ShapeError):
+                T.transpose(x, axes)
 
 
 class TestLayerNorm:
@@ -209,6 +246,16 @@ class TestGradientsMatchFiniteDifferences:
                 lambda: T.sum_all(T.mul(T.transpose(a), T.transpose(a))), [a])
             assert_grads_match(
                 lambda: T.sum_all(T.mul(T.reshape(a, (k * m, 1)), T.reshape(a, (k * m, 1)))), [a])
+        for _ in range(3):
+            s, m, k, n = rng.integers(1, 5, size=4)
+            a = T.Tensor(rng.standard_normal((s, m, k)), requires_grad=True)
+            b = T.Tensor(rng.standard_normal((s, k, n)), requires_grad=True)
+            w = T.Tensor(rng.standard_normal((m, s, n)))
+            # A 3-D stack product, then a non-involutive axis permutation.
+            assert_grads_match(
+                lambda: T.sum_all(T.mul(T.transpose(T.matmul(a, b), (1, 0, 2)), w)), [a, b])
+            assert_grads_match(
+                lambda: T.sum_all(T.mul(T.transpose(a, (2, 0, 1)), T.transpose(a, (2, 0, 1)))), [a])
 
     def test_concat_slice_gather(self, rng):
         a = T.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
@@ -237,9 +284,15 @@ class TestGradientsMatchFiniteDifferences:
         bias = T.Tensor(rng.standard_normal((1, 6)), requires_grad=True)
         w = T.Tensor(rng.standard_normal((6, 6)))
 
+        x3 = T.Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+        w3 = T.Tensor(rng.standard_normal((3, 4, 5)))
+
         def softmax_loss():
             y = T.softmax_rows(T.matmul(x, w))
             return T.sum_all(T.mul(y, y))
+
+        def softmax_3d_loss():
+            return T.sum_all(T.mul(T.softmax_rows(x3), w3))
 
         def ln_loss():
             y = T.layer_norm(x, gain, bias, eps=1e-5)
@@ -249,6 +302,7 @@ class TestGradientsMatchFiniteDifferences:
             return T.sum_all(T.mul(T.gelu(x), T.gelu(x)))
 
         assert_grads_match(softmax_loss, [x])
+        assert_grads_match(softmax_3d_loss, [x3])
         assert_grads_match(ln_loss, [x, gain, bias])
         assert_grads_match(gelu_loss, [x])
 

@@ -102,6 +102,14 @@ class TestPersistence:
         vocab.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_non_utf8_rejected_naming_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        build_vocab(["the lazy dog"], max_size=16).save(path)
+        path.write_bytes(path.read_bytes() + b"caf\xe9\n")
+        with pytest.raises(InputError) as err:
+            Vocabulary.load(path)
+        assert str(path) in str(err.value)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bogus.txt"
         path.write_text("not a vocab\n")
