@@ -167,9 +167,12 @@ def load_fusion_checkpoint(path: str | Path) -> tuple[FusionModel, dict]:
         if meta["coattn"]:
             dims = meta["coattn"]
             block = CoAttentionBlock.zeros(dims["d_speech"], dims["d_text"], dims["n_heads"])
-            for name in block.params:
-                block.params[name] = T.Tensor(need(f"fusion.block.{name}").copy(),
-                                              requires_grad=True)
+            for name, param in block.params.items():
+                arr = need(f"fusion.block.{name}")
+                if arr.shape != param.data.shape:
+                    raise InputError(f"{path}: co-attention block {name!r} has shape "
+                                     f"{arr.shape}, expected {param.data.shape}")
+                block.params[name] = T.Tensor(arr.copy(), requires_grad=True)
         head = LinearHead(
             T.Tensor(need("fusion.head.w").copy(), requires_grad=True),
             T.Tensor(need("fusion.head.b").copy(), requires_grad=True),

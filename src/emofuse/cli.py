@@ -215,8 +215,14 @@ def cmd_pretrain(args) -> int:
         manifest.add_input(args.resume)
         state, meta, extras = load_encoder_checkpoint(args.resume)
         if state.cfg.vocab_size != vocab_size:
-            raise InputError("resume checkpoint vocabulary does not match the codebook")
-        start_step = int(meta["step"])
+            raise InputError(f"{args.resume}: resume checkpoint vocabulary does not match the codebook")
+        start_step = meta.get("step")
+        if type(start_step) is not int or start_step < 0:
+            raise InputError(f"{args.resume}: no optimizer step (meta 'step') to resume from")
+        for name, param in state.params.items():
+            for key in (f"adam.m.{name}", f"adam.v.{name}"):
+                if key not in extras or extras[key].shape != param.data.shape:
+                    raise InputError(f"{args.resume}: missing or misshapen optimizer block {key!r}")
         opt = AdamState(
             m={n: extras[f"adam.m.{n}"] for n in state.params},
             v={n: extras[f"adam.v.{n}"] for n in state.params},

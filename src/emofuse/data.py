@@ -231,13 +231,20 @@ def load_jsonl(path: str | Path, featurizer: FrameFeaturizerConfig | None = None
                 frames = None
             if frames is None or frames.ndim != 2:
                 raise InputError(f"{path}:{lineno}: frames must be a 2-D list of numbers")
+            if not np.isfinite(frames).all():
+                raise InputError(f"{path}:{lineno}: frames contain non-finite values")
         else:
             audio = record["audio_path"]
             try:
-                samples = np.load(path.parent / audio)
+                samples = np.asarray(np.load(path.parent / audio), dtype=np.float64)
             except (OSError, TypeError, ValueError) as exc:
                 raise InputError(f"{path}:{lineno}: cannot load audio_path {audio!r} ({exc})") from None
-            frames = featurize(samples, featurizer or FrameFeaturizerConfig())
+            if not np.isfinite(samples).all():
+                raise InputError(f"{path}:{lineno}: audio_path {audio!r} has non-finite samples")
+            try:
+                frames = featurize(samples, featurizer or FrameFeaturizerConfig())
+            except InputError as exc:
+                raise InputError(f"{path}:{lineno}: audio_path {audio!r}: {exc}") from None
         label = score = None
         if mode == "categorical":
             label = record["label"]

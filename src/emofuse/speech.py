@@ -100,6 +100,8 @@ class Codebook:
         centroids = np.asarray(centroids, dtype=np.float64)
         if centroids.ndim != 2 or centroids.shape[0] < 1:
             raise InputError(f"centroids must be a [K x dim] matrix, got {centroids.shape}")
+        if not np.isfinite(centroids).all():
+            raise InputError("codebook contains non-finite centroid values")
         if len(np.unique(centroids, axis=0)) != centroids.shape[0]:
             raise InputError("codebook contains duplicate centroids")
         self.centroids = centroids
@@ -131,17 +133,71 @@ class Codebook:
         if len(raw) != expected:
             raise InputError(f"{path}: truncated codebook (want {expected} bytes, have {len(raw)})")
         cents = np.frombuffer(raw[20:], dtype="<f8").reshape(k, dim).copy()
-        return cls(cents, version=str(version))
+        try:
+            return cls(cents, version=str(version))
+        except InputError as err:
+            raise InputError(f"{path}: {err}") from None
+
+
+# Rows per chunk are sized so that a chunk's distance temporaries hold about
+# this many float64 values (2 MB), whatever N and K are.
+_CHUNK_FLOATS = 1 << 18
 
 
 def _squared_distances(frames: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Exact squared distances from the differences; an [N x K x D] temporary."""
     diff = frames[:, None, :] - centroids[None, :, :]
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
+def _exact_nearest(frames: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """argmin of ``_squared_distances``, over chunks of at most _CHUNK_FLOATS diffs."""
+    step = max(1, _CHUNK_FLOATS // centroids.size)
+    return np.concatenate([
+        np.argmin(_squared_distances(frames[lo : lo + step], centroids), axis=1)
+        for lo in range(0, len(frames), step)
+    ])
+
+
 def nearest_centroid(frames: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of the closest centroid per frame; ties go to the lowest index."""
-    return np.argmin(_squared_distances(frames, centroids), axis=1)
+    """Index of the closest centroid per frame; ties go to the lowest index.
+
+    The result is the argmin of the exact ``_squared_distances``, bit for
+    bit, found without building its [N x K x D] temporary. Each chunk of
+    rows is screened with one GEMM, ||x||^2 - 2 x.c + ||c||^2. To first
+    order, each form is within (D + 2) * eps/2 * (||x|| + max ||c||)^2 of
+    the true distance; when the screen's best-to-second gap exceeds twice
+    the two errors' sum, both forms rank the same centroid strictly first.
+    The gap is compared with twice that again, 4 (D + 3) eps (...)^2, and
+    rows with a smaller or non-finite gap are recomputed with the exact
+    form, so ties still go to the lowest index.
+    """
+    n, dim = frames.shape
+    sq_c = np.einsum("kd,kd->k", centroids, centroids)
+    scale = 4.0 * (dim + 3) * np.finfo(np.float64).eps
+    max_c = np.sqrt(sq_c.max())
+    out = np.empty(n, dtype=np.intp)
+    step = max(1, _CHUNK_FLOATS // len(centroids))
+    for lo in range(0, n, step):
+        x = frames[lo : lo + step]
+        rows = np.arange(len(x))
+        # A non-finite screen value only sends its row to the exact re-check.
+        with np.errstate(invalid="ignore", over="ignore"):
+            sq_x = np.einsum("nd,nd->n", x, x)
+            d2 = x @ centroids.T
+            d2 *= -2.0
+            d2 += sq_x[:, None]
+            d2 += sq_c
+            best = np.argmin(d2, axis=1)
+            best_d2 = d2[rows, best]
+            d2[rows, best] = np.inf
+            gap = d2.min(axis=1) - best_d2
+            bound = scale * (np.sqrt(sq_x) + max_c) ** 2
+        recheck = np.flatnonzero(~(np.isfinite(gap) & (gap > bound)))
+        if len(recheck):
+            best[recheck] = _exact_nearest(x[recheck], centroids)
+        out[lo : lo + step] = best
+    return out
 
 
 def _kmeans_pp_init(frames: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -178,8 +234,7 @@ def train_codebook(
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(frames, k, rng)
     for _ in range(max_iters):
-        d2 = _squared_distances(frames, centroids)
-        assign = np.argmin(d2, axis=1)
+        assign = nearest_centroid(frames, centroids)
         new = centroids.copy()
         empties = []
         for j in range(k):
@@ -189,8 +244,10 @@ def train_codebook(
             else:
                 empties.append(j)
         if empties:
-            # Hand each empty cluster the point worst served by its centroid.
-            own = d2[np.arange(len(frames)), assign]
+            # Hand each empty cluster the point worst served by its centroid,
+            # by the same exact distance as _squared_distances.
+            diff = frames - centroids[assign]
+            own = np.einsum("nd,nd->n", diff, diff)
             order = np.argsort(-own, kind="stable")
             for rank, j in enumerate(empties):
                 new[j] = frames[order[rank]]

@@ -242,9 +242,11 @@ def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the last axis (2 or more dimensions), stabilized by max subtraction."""
     if x.data.ndim < 2:
         raise ShapeError(f"softmax_rows needs at least 2 dimensions, got shape {x.shape}")
-    if np.isnan(x.data).any():
-        raise NumericError("softmax_rows: NaN in input")
-    z = x.data - x.data.max(axis=-1, keepdims=True)
+    peak = x.data.max(axis=-1, keepdims=True)
+    # max propagates NaN, so this catches NaN and +inf but lets -inf through.
+    if not (peak < np.inf).all():
+        raise NumericError("softmax_rows: NaN or +inf in input")
+    z = x.data - peak
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
 

@@ -84,6 +84,46 @@ def per_head_attention(x, kv, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
     return T.matmul(T.concat_cols(heads), wo) + bo, np.stack(weights)
 
 
+def full_tensor_nearest_centroid(frames, centroids):
+    """Reference oracle for the nearest-centroid search: the argmin of the
+    exact squared distances over one [N x K x D] difference tensor."""
+    diff = frames[:, None, :] - centroids[None, :, :]
+    return np.argmin(np.einsum("nkd,nkd->nk", diff, diff), axis=1)
+
+
+def full_tensor_lloyd(frames, centroids, max_iters, tol):
+    """Reference oracle for ``speech.train_codebook``'s Lloyd loop, from given
+    initial centroids, over the full [N x K x D] distance tensor.
+
+    Returns the final centroids and the number of empty clusters reseeded.
+    """
+    k = len(centroids)
+    reseeded = 0
+    for _ in range(max_iters):
+        diff = frames[:, None, :] - centroids[None, :, :]
+        d2 = np.einsum("nkd,nkd->nk", diff, diff)
+        assign = np.argmin(d2, axis=1)
+        new = centroids.copy()
+        empties = []
+        for j in range(k):
+            members = frames[assign == j]
+            if len(members):
+                new[j] = members.mean(axis=0)
+            else:
+                empties.append(j)
+        if empties:
+            own = d2[np.arange(len(frames)), assign]
+            order = np.argsort(-own, kind="stable")
+            for rank, j in enumerate(empties):
+                new[j] = frames[order[rank]]
+            reseeded += len(empties)
+        shift = np.sqrt(((new - centroids) ** 2).sum(axis=1)).max()
+        centroids = new
+        if shift < tol:
+            break
+    return centroids, reseeded
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

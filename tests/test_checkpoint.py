@@ -173,6 +173,16 @@ class TestFusionCheckpoint:
             load_fusion_checkpoint(path)
         assert str(path) in str(err.value) and "24" in str(err.value)
 
+    def test_coattn_block_shape_mismatch_rejected_at_load(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_fusion_checkpoint(path, self.build_model(), label_mode="categorical")
+        meta, blocks = load_checkpoint(path)
+        blocks["fusion.block.sq.q_w"] = np.zeros((16, 8))  # speech queries need [16 x 16]
+        save_checkpoint(path, meta, blocks)
+        with pytest.raises(InputError) as err:
+            load_fusion_checkpoint(path)
+        assert str(path) in str(err.value) and "sq.q_w" in str(err.value)
+
     def test_unimodal_model_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
         speech = EncoderState.init(CFG, rng)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from emofuse.checkpoint import MAGIC, load_checkpoint, load_encoder_checkpoint
+from emofuse.checkpoint import MAGIC, load_checkpoint, load_encoder_checkpoint, save_checkpoint
 from emofuse.cli import main
 from emofuse.fileio import sha256_file
 
@@ -115,6 +115,26 @@ class TestPretrain:
         assert meta["step"] == 7
         resumed_log = (out / "pretrain.log").read_text().splitlines()
         assert resumed_log[0].startswith("5 ")
+
+    @pytest.mark.parametrize("drop", ["step", "adam"])
+    def test_resume_without_optimizer_state_exits_2(self, workspace, tmp_path, capsys, drop):
+        base = ["--dataset", f"{workspace}/dataset.jsonl",
+                "--codebook", f"{workspace}/codebook.bin", "--batch-size", "2",
+                "--seed", "0", *TINY_ARCH]
+        pre = tmp_path / "pre"
+        assert main(["pretrain", *base, "--out-dir", str(pre), "--steps", "1"]) == 0
+        meta, blocks = load_checkpoint(pre / "speech_encoder.ckpt")
+        if drop == "step":
+            del meta["step"]
+        else:
+            blocks = {n: a for n, a in blocks.items() if not n.startswith("adam.")}
+        plain = tmp_path / "plain.ckpt"
+        save_checkpoint(plain, meta, blocks)
+        capsys.readouterr()
+        code = main(["pretrain", *base, "--out-dir", str(tmp_path / "again"),
+                     "--steps", "2", "--resume", str(plain)])
+        assert code == 2
+        assert str(plain) in capsys.readouterr().err
 
     def test_require_pretrained_without_resume(self, workspace, tmp_path):
         code = main(["pretrain", "--dataset", f"{workspace}/dataset.jsonl",

@@ -206,6 +206,31 @@ class TestJsonl:
             load_jsonl(path)
         assert f"{path}:1:" in str(err.value) and "gone.npy" in str(err.value)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_frames_name_line(self, tmp_path, literal):
+        # Python's json accepts these literals; the frames must still be finite.
+        path = tmp_path / "bad.jsonl"
+        good = json.dumps({"id": "a", "frames": [[0.0]], "text": "x", "label": 0})
+        bad = good.replace('"a"', '"b"').replace("[[0.0]]", f"[[0.0], [{literal}]]")
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(InputError) as err:
+            load_jsonl(path)
+        assert f"{path}:2:" in str(err.value)
+
+    @pytest.mark.parametrize("samples", [
+        np.where(np.arange(4000) == 1234, np.nan, 0.5),
+        np.where(np.arange(4000) == 1234, np.inf, 0.5),
+        np.zeros(100),  # shorter than one window
+    ])
+    def test_unusable_audio_samples_name_line(self, tmp_path, samples):
+        np.save(tmp_path / "clip.npy", samples)
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps(
+            {"id": "a", "audio_path": "clip.npy", "text": "hi", "label": 1}) + "\n")
+        with pytest.raises(InputError) as err:
+            load_jsonl(path)
+        assert f"{path}:1:" in str(err.value) and "clip.npy" in str(err.value)
+
     def test_duplicate_id_names_both_lines(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         rows = [

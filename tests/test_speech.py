@@ -1,8 +1,13 @@
 """Speech front end: framing, filterbank features, k-means codebook, discretize."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import full_tensor_lloyd, full_tensor_nearest_centroid
+from emofuse import speech
 from emofuse.errors import InputError
 from emofuse.speech import (
     LOG_FLOOR,
@@ -10,6 +15,7 @@ from emofuse.speech import (
     FrameFeaturizerConfig,
     discretize,
     featurize,
+    nearest_centroid,
     train_codebook,
 )
 from emofuse.tokens import CLS, N_SPECIALS
@@ -100,6 +106,130 @@ class TestTrainCodebook:
         assert np.array_equal(a.centroids, b.centroids)
 
 
+@pytest.fixture
+def rechecked(monkeypatch):
+    """Record the number of rows each exact re-check of nearest_centroid gets."""
+    calls = []
+    exact = speech._exact_nearest
+
+    def spy(frames, centroids):
+        calls.append(len(frames))
+        return exact(frames, centroids)
+
+    monkeypatch.setattr(speech, "_exact_nearest", spy)
+    return calls
+
+
+def near_tie_frames(rng, n, dim):
+    """Frames within 3 ulps of the bisector of centroids 0 and 1 below.
+
+    Centroids 0 and 1 differ only in coordinate 0 (0 and 2); every frame has
+    1 + j ulp there, j in -3..3, so its two distances agree to a few ulps.
+    """
+    shared = rng.standard_normal(dim)
+    cents = np.stack([shared, shared, rng.standard_normal(dim) + 5.0])
+    cents[0, 0], cents[1, 0] = 0.0, 2.0
+    frames = shared + rng.standard_normal((n, dim)) * 1e-3
+    frames[:, 0] = 1.0 + (np.arange(n) % 7 - 3) * np.spacing(1.0)
+    return frames, cents
+
+
+class TestNearestCentroid:
+    """The GEMM-screened search against the full-tensor oracle, bit for bit."""
+
+    def test_random_matches_oracle(self, rng):
+        for _ in range(40):
+            n, k, dim = rng.integers(1, 300), rng.integers(1, 70), rng.integers(1, 45)
+            frames = rng.standard_normal((n, dim)) * rng.choice([1e-3, 1.0, 30.0])
+            cents = rng.standard_normal((k, dim))
+            assert np.array_equal(nearest_centroid(frames, cents),
+                                  full_tensor_nearest_centroid(frames, cents))
+
+    def test_exact_ties_match_oracle(self, rng, rechecked):
+        # Half-integer frames against integer centroids: many exact ties.
+        cents = np.array([[x, y] for x in range(4) for y in range(3)], dtype=float)
+        frames = rng.integers(-2, 14, size=(400, 2)) / 2.0
+        got = nearest_centroid(frames, cents)
+        assert np.array_equal(got, full_tensor_nearest_centroid(frames, cents))
+        assert sum(rechecked) > 0
+
+    def test_one_ulp_near_ties_match_oracle(self, rng, rechecked):
+        frames, cents = near_tie_frames(rng, 70, 40)
+        want = full_tensor_nearest_centroid(frames, cents)
+        assert set(want.tolist()) == {0, 1}
+        assert np.array_equal(nearest_centroid(frames, cents), want)
+        assert sum(rechecked) == len(frames)
+
+    def test_large_offset_matches_oracle(self, rng, rechecked):
+        # Near 1e6 the screen's ||x||^2 - 2x.c + ||c||^2 cancels ~13 digits.
+        frames = 1e6 + rng.standard_normal((600, 40))
+        cents = 1e6 + rng.standard_normal((32, 40))
+        assert np.array_equal(nearest_centroid(frames, cents),
+                              full_tensor_nearest_centroid(frames, cents))
+        assert sum(rechecked) > 0
+
+    def test_single_centroid(self, rng):
+        frames = rng.standard_normal((25, 3))
+        got = nearest_centroid(frames, rng.standard_normal((1, 3)))
+        assert np.array_equal(got, np.zeros(25, dtype=got.dtype))
+
+    def test_partial_last_chunk_matches_oracle(self, rng, monkeypatch):
+        frames, cents = near_tie_frames(rng, 50, 6)
+        frames = np.concatenate([frames, rng.standard_normal((53, 6))])
+        cents = np.concatenate([cents, rng.standard_normal((4, 6))])
+        # 7 rows per screen chunk (103 = 14 * 7 + 5) and 1 per exact chunk.
+        monkeypatch.setattr(speech, "_CHUNK_FLOATS", 7 * len(cents) + 3)
+        assert np.array_equal(nearest_centroid(frames, cents),
+                              full_tensor_nearest_centroid(frames, cents))
+
+    def test_non_finite_rows_match_oracle(self, rng):
+        frames = rng.standard_normal((9, 4))
+        frames[2, 1], frames[5, 0], frames[7, 3] = np.nan, np.inf, -np.inf
+        cents = rng.standard_normal((6, 4))
+        assert np.array_equal(nearest_centroid(frames, cents),
+                              full_tensor_nearest_centroid(frames, cents))
+
+
+class TestLloydMatchesOracle:
+    """train_codebook against the full-tensor Lloyd loop from the same init."""
+
+    def check(self, frames, k, seed, max_iters=30, tol=1e-8):
+        init = speech._kmeans_pp_init(frames, k, np.random.default_rng(seed))
+        want, reseeded = full_tensor_lloyd(frames, init, max_iters, tol)
+        got = train_codebook(frames, k=k, seed=seed, max_iters=max_iters, tol=tol)
+        assert np.array_equal(got.centroids, want)
+        return reseeded
+
+    def test_random_data(self, rng):
+        for seed in range(4):
+            self.check(rng.standard_normal((300, 8)), k=12, seed=seed)
+
+    def test_exact_ties(self, rng):
+        self.check(rng.integers(0, 5, size=(200, 2)) / 2.0, k=6, seed=1)
+
+    def test_large_offset(self, rng):
+        self.check(1e6 + rng.standard_normal((400, 40)), k=16, seed=2, max_iters=5)
+
+    def test_forced_empty_cluster(self, monkeypatch):
+        # Centroid 0 starts between two pairs, each nearer its own centroid,
+        # so it gets no members in the first step and is reseeded.
+        frames = np.array([[0.0, 0.0], [1.0, 0.0], [9.0, 0.0], [10.0, 0.0], [10.0, 1.0]])
+        init = np.array([[5.0, 0.0], [0.0, 0.0], [10.0, 0.0]])
+        monkeypatch.setattr(speech, "_kmeans_pp_init", lambda frames, k, rng: init.copy())
+        assert self.check(frames, k=3, seed=0) >= 1
+
+    def test_peak_memory_is_bounded(self, rng):
+        # The full-tensor loop peaks near 12k * 256 * 40 * 8 B, about 1 GB.
+        frames = rng.standard_normal((12_000, 40))
+        tracemalloc.start()
+        try:
+            train_codebook(frames, k=256, seed=0, max_iters=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+
+
 class TestDiscretize:
     def test_exact_centroid_maps_to_its_token(self):
         cb = Codebook(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 3.0]]))
@@ -167,6 +297,19 @@ class TestCodebookPersistence:
     def test_short_header_rejected(self, tmp_path):
         path = tmp_path / "codebook.bin"
         path.write_bytes(b"EMFCBOOK" + b"\x01\x00\x00\x00\x04")
+        with pytest.raises(InputError) as err:
+            Codebook.load(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_centroids_rejected(self, bad):
+        with pytest.raises(InputError):
+            Codebook(np.array([[1.0, 2.0], [bad, 0.0]]))
+
+    def test_non_finite_file_rejected_naming_file(self, tmp_path):
+        path = tmp_path / "codebook.bin"
+        body = np.array([[1.0, 2.0], [np.inf, 0.0]]).astype("<f8").tobytes()
+        path.write_bytes(b"EMFCBOOK" + struct.pack("<III", 1, 2, 2) + body)
         with pytest.raises(InputError) as err:
             Codebook.load(path)
         assert str(path) in str(err.value)

@@ -103,6 +103,17 @@ class TestSoftmax:
         with pytest.raises(NumericError):
             T.softmax_rows(T.Tensor([[np.nan, 0.0]]))
 
+    def test_pos_inf_input_rejected(self):
+        with pytest.raises(NumericError):
+            T.softmax_rows(T.Tensor([[0.0, np.inf, 1.0]]))
+        with pytest.raises(NumericError):
+            T.softmax_rows(T.Tensor(np.array([[[0.0, 1.0]], [[np.inf, 0.0]]])))
+
+    def test_neg_inf_is_zero_weight(self):
+        # A key-padding mask writes -inf scores; they must get weight 0.
+        out = T.softmax_rows(T.Tensor([[0.0, -np.inf, 0.0]])).data
+        assert np.array_equal(out, [[0.5, 0.0, 0.5]])
+
     def test_3d_is_softmax_of_each_matrix(self, rng):
         x = rng.standard_normal((3, 4, 5))
         got = T.softmax_rows(T.Tensor(x)).data
