@@ -27,8 +27,7 @@ import numpy as np
 from .encoder import EncoderConfig, EncoderState
 from .errors import ConfigError, InputError
 from .fileio import atomic_write_bytes
-from .fusion import CoAttentionBlock, FusionModel, LinearHead
-from . import tensor as T
+from .fusion import FusionModel
 
 MAGIC = b"EMFCKPT1"
 
@@ -89,16 +88,14 @@ def _metadata_errors(path: str | Path):
         raise InputError(f"{path}: invalid checkpoint metadata ({type(err).__name__}: {err})") from None
 
 
-def encoder_blocks(state: EncoderState, prefix: str = "") -> dict[str, np.ndarray]:
-    return {prefix + name: p.data for name, p in state.params.items()}
-
-
-def encoder_from_blocks(cfg: EncoderConfig, blocks: dict[str, np.ndarray],
-                        prefix: str = "") -> EncoderState:
-    state = EncoderState.zeros(cfg)
-    state.load_arrays({name: blocks[prefix + name] for name in state.params
-                       if prefix + name in blocks})
-    return state
+def checked_block(path: str | Path, blocks: dict[str, np.ndarray], name: str,
+                  shape: tuple[int, ...]) -> np.ndarray:
+    """The block ``name`` of the checkpoint at ``path``, which must exist with ``shape``."""
+    arr = blocks.get(name)
+    if arr is None or arr.shape != shape:
+        found = "is missing" if arr is None else f"has shape {arr.shape}"
+        raise InputError(f"{path}: parameter block {name!r} {found}, expected shape {shape}")
+    return arr
 
 
 def save_encoder_checkpoint(
@@ -110,7 +107,7 @@ def save_encoder_checkpoint(
     meta = {"kind": "encoder", "config": asdict(state.cfg)}
     if extra_meta:
         meta.update(extra_meta)
-    blocks = encoder_blocks(state)
+    blocks = {name: p.data for name, p in state.params.items()}
     if extra_blocks:
         blocks.update(extra_blocks)
     save_checkpoint(path, meta, blocks)
@@ -121,7 +118,9 @@ def load_encoder_checkpoint(path: str | Path) -> tuple[EncoderState, dict, dict[
     if meta.get("kind") != "encoder":
         raise InputError(f"{path}: not an encoder checkpoint")
     with _metadata_errors(path):
-        state = encoder_from_blocks(EncoderConfig(**meta["config"]), blocks)
+        state = EncoderState.init(EncoderConfig(**meta["config"]), rng=None)
+    for name, p in state.params.items():
+        p.data = checked_block(path, blocks, name, p.data.shape)
     extras = {n: a for n, a in blocks.items() if n not in state.params}
     return state, meta, extras
 
@@ -149,34 +148,21 @@ def save_fusion_checkpoint(path: str | Path, model: FusionModel, label_mode: str
 
 
 def load_fusion_checkpoint(path: str | Path) -> tuple[FusionModel, dict]:
+    """Rebuild the model its metadata describes, then give each parameter its block.
+
+    Head and co-attention shapes follow from the encoder configs; the
+    ``head_in_dim`` and ``coattn`` widths in the metadata are written, not read.
+    """
     meta, blocks = load_checkpoint(path)
     if meta.get("kind") != "fusion":
         raise InputError(f"{path}: not a fusion checkpoint")
-
-    def need(name: str) -> np.ndarray:
-        if name not in blocks:
-            raise InputError(f"{path}: missing parameter block {name!r}")
-        return blocks[name]
-
-    speech = text = block = None
     with _metadata_errors(path):
-        if meta["speech_config"]:
-            speech = encoder_from_blocks(EncoderConfig(**meta["speech_config"]), blocks, "speech.")
-        if meta["text_config"]:
-            text = encoder_from_blocks(EncoderConfig(**meta["text_config"]), blocks, "text.")
-        if meta["coattn"]:
-            dims = meta["coattn"]
-            block = CoAttentionBlock.zeros(dims["d_speech"], dims["d_text"], dims["n_heads"])
-            for name, param in block.params.items():
-                arr = need(f"fusion.block.{name}")
-                if arr.shape != param.data.shape:
-                    raise InputError(f"{path}: co-attention block {name!r} has shape "
-                                     f"{arr.shape}, expected {param.data.shape}")
-                block.params[name] = T.Tensor(arr.copy(), requires_grad=True)
-        head = LinearHead(
-            T.Tensor(need("fusion.head.w").copy(), requires_grad=True),
-            T.Tensor(need("fusion.head.b").copy(), requires_grad=True),
-        )
-        model = FusionModel(meta["fusion"], head, speech=speech, text=text, block=block,
-                            fusion_dropout=meta.get("fusion_dropout", 0.0))
+        config = lambda key: EncoderConfig(**meta[key]) if meta[key] is not None else None
+        kind = meta["fusion"]
+        model = FusionModel.init(kind, config("speech_config"), config("text_config"),
+                                 meta["n_outputs"],
+                                 meta["coattn"]["n_heads"] if kind == "coattn" else 0,
+                                 rng=None, fusion_dropout=meta.get("fusion_dropout", 0.0))
+    for name, p in model.named_params().items():
+        p.data = checked_block(path, blocks, name, p.data.shape)
     return model, meta

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import (
+    checked_block,
     load_encoder_checkpoint,
     load_fusion_checkpoint,
     save_encoder_checkpoint,
@@ -141,10 +142,8 @@ def _encoder_config(args, modality: str, vocab_size: int) -> EncoderConfig:
 
 
 def _train_config(args, **overrides) -> TrainConfig:
-    base = dict(
-        peak_lr=args.lr, batch_size=args.batch_size, dropout=args.dropout,
-        seed=args.seed, grad_clip=args.grad_clip, warmup_steps=args.warmup_steps,
-    )
+    base = dict(peak_lr=args.lr, batch_size=args.batch_size, seed=args.seed,
+                grad_clip=args.grad_clip, warmup_steps=args.warmup_steps)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -165,6 +164,13 @@ def _print_report(report: MetricReport, title: str) -> None:
         print(f"  {scope:>10} {metric:<18} {value:.4f}")
 
 
+def _train_examples(dataset, path):
+    """The examples of the "train" split, else of the first split in the file."""
+    if not dataset.splits:
+        raise InputError(f"{path}: dataset has no examples")
+    return dataset.subset("train" if "train" in dataset.splits else next(iter(dataset.splits)))
+
+
 def cmd_gen_data(args) -> int:
     out = _out_dir(args)
     manifest = Manifest("gen-data", args)
@@ -181,9 +187,7 @@ def cmd_prepare(args) -> int:
     out = _out_dir(args)
     manifest = Manifest("prepare", args)
     manifest.add_input(args.dataset)
-    dataset = load_jsonl(args.dataset)
-    split = "train" if "train" in dataset.splits else next(iter(dataset.splits))
-    examples = dataset.subset(split)
+    examples = _train_examples(load_jsonl(args.dataset), args.dataset)
     vocab = build_vocab([ex.text for ex in examples], max_size=args.vocab_size)
     frames = np.concatenate([ex.frames for ex in examples])
     codebook = train_codebook(frames, k=args.codebook_size, seed=args.seed)
@@ -203,11 +207,9 @@ def cmd_pretrain(args) -> int:
     manifest = Manifest("pretrain", args)
     manifest.add_input(args.dataset)
     manifest.add_input(args.codebook)
-    dataset = load_jsonl(args.dataset)
+    examples = _train_examples(load_jsonl(args.dataset), args.dataset)
     codebook = Codebook.load(args.codebook)
-    split = "train" if "train" in dataset.splits else next(iter(dataset.splits))
-    corpus = [discretize(ex.frames, codebook, max_len=args.speech_max_len)
-              for ex in dataset.subset(split)]
+    corpus = [discretize(ex.frames, codebook, max_len=args.speech_max_len) for ex in examples]
     vocab_size = 5 + codebook.k
 
     start_step = 0
@@ -219,15 +221,9 @@ def cmd_pretrain(args) -> int:
         start_step = meta.get("step")
         if type(start_step) is not int or start_step < 0:
             raise InputError(f"{args.resume}: no optimizer step (meta 'step') to resume from")
-        for name, param in state.params.items():
-            for key in (f"adam.m.{name}", f"adam.v.{name}"):
-                if key not in extras or extras[key].shape != param.data.shape:
-                    raise InputError(f"{args.resume}: missing or misshapen optimizer block {key!r}")
-        opt = AdamState(
-            m={n: extras[f"adam.m.{n}"] for n in state.params},
-            v={n: extras[f"adam.v.{n}"] for n in state.params},
-            step=start_step,
-        )
+        moments = {k: {n: checked_block(args.resume, extras, f"adam.{k}.{n}", p.data.shape)
+                       for n, p in state.params.items()} for k in "mv"}
+        opt = AdamState(**moments, step=start_step)
     else:
         state = EncoderState.init(_encoder_config(args, "speech", vocab_size),
                                   np.random.default_rng(args.seed))
@@ -262,7 +258,7 @@ def cmd_pretrain(args) -> int:
 
 
 def _load_pretrained_speech(path, model: FusionModel, manifest: Manifest) -> None:
-    """Copy a pretrained speech encoder into ``model``; its sizes must match."""
+    """Give ``model`` a pretrained speech encoder's parameters; its sizes must match."""
     manifest.add_input(path)
     state, _, _ = load_encoder_checkpoint(path)
     for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_len"):
@@ -270,7 +266,7 @@ def _load_pretrained_speech(path, model: FusionModel, manifest: Manifest) -> Non
         if have != want:
             raise InputError(f"{path}: pretrained speech encoder has {name} {have}, "
                              f"the requested configuration has {want}")
-    model.speech.load_arrays(state.copy_arrays())
+    model.speech.params = state.params
 
 
 def _check_freeze(fusion: str, freeze: str) -> tuple[bool, bool]:

@@ -37,14 +37,14 @@ class EncoderConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self):
+        if min(self.n_layers, self.d_model, self.n_heads, self.d_ff, self.vocab_size) < 1:
+            raise ConfigError("all size fields must be positive")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.max_len < 2:
             raise ConfigError("max_len must be at least 2")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if min(self.n_layers, self.d_model, self.n_heads, self.d_ff, self.vocab_size) < 1:
-            raise ConfigError("all size fields must be positive")
 
 
 # Desk-scale defaults; the full-scale configs below stay constructible for
@@ -99,6 +99,25 @@ def param_count(cfg: EncoderConfig) -> int:
     return v * d + cfg.max_len * d + cfg.n_layers * per_layer + 2 * d + v
 
 
+def init_params(shapes, rng: np.random.Generator | None) -> dict[str, T.Tensor]:
+    """Trainable tensors for (name, shape, kind) triples, created in the order given.
+
+    A "weight" is drawn as normal(0, INIT_STD) from ``rng``, a "gain" is all
+    ones and a "bias" all zeros. With ``rng=None`` every parameter is zero:
+    the blank a checkpoint is loaded into.
+    """
+    params: dict[str, T.Tensor] = {}
+    for name, shape, kind in shapes:
+        if rng is None or kind == "bias":
+            data = np.zeros(shape)
+        elif kind == "weight":
+            data = rng.normal(0.0, INIT_STD, size=shape)
+        else:
+            data = np.ones(shape)
+        params[name] = T.Tensor(data, requires_grad=True)
+    return params
+
+
 class EncoderState:
     """Learnable parameters of one encoder, keyed by name in checkpoint order."""
 
@@ -107,40 +126,20 @@ class EncoderState:
         self.params = params
 
     @classmethod
-    def init(cls, cfg: EncoderConfig, rng: np.random.Generator) -> "EncoderState":
-        """Fresh state: normal(0, 0.02) weights, zero biases, unit norm gains."""
-        params: dict[str, T.Tensor] = {}
-        for name, shape, kind in parameter_shapes(cfg):
-            if kind == "weight":
-                data = rng.normal(0.0, INIT_STD, size=shape)
-            elif kind == "gain":
-                data = np.ones(shape)
-            else:
-                data = np.zeros(shape)
-            params[name] = T.Tensor(data, requires_grad=True)
-        return cls(cfg, params)
+    def init(cls, cfg: EncoderConfig, rng: np.random.Generator | None) -> "EncoderState":
+        """Fresh state from ``init_params``; all zeros with ``rng=None``."""
+        return cls(cfg, init_params(parameter_shapes(cfg), rng))
 
     @classmethod
     def zeros(cls, cfg: EncoderConfig) -> "EncoderState":
         """All-zero state (gains included); for shape and counting checks."""
-        return cls(cfg, {
-            name: T.Tensor(np.zeros(shape), requires_grad=True)
-            for name, shape, _ in parameter_shapes(cfg)
-        })
+        return cls.init(cfg, None)
 
     def actual_param_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
     def copy_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, p in self.params.items():
-            if name not in arrays:
-                raise InputError(f"missing parameter block {name!r}")
-            if arrays[name].shape != p.data.shape:
-                raise InputError(f"parameter {name}: shape {arrays[name].shape} != {p.data.shape}")
-            p.data = arrays[name].astype(np.float64).copy()
 
     def set_requires_grad(self, flag: bool) -> None:
         for p in self.params.values():

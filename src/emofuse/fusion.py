@@ -20,12 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .encoder import EncoderConfig, EncoderOutput, EncoderState, multi_head_attention
+from .encoder import EncoderConfig, EncoderOutput, EncoderState, init_params, multi_head_attention
 from .errors import ConfigError, InputError
 
 FUSION_KINDS = ("shallow", "coattn", "speech-only", "text-only")
-
-INIT_STD = 0.02
 
 
 class LinearHead:
@@ -38,18 +36,13 @@ class LinearHead:
         self.b = b
 
     @classmethod
-    def init(cls, in_dim: int, n_outputs: int, rng: np.random.Generator) -> "LinearHead":
-        return cls(
-            T.Tensor(rng.normal(0.0, INIT_STD, size=(in_dim, n_outputs)), requires_grad=True),
-            T.Tensor(np.zeros((1, n_outputs)), requires_grad=True),
-        )
+    def init(cls, in_dim: int, n_outputs: int, rng: np.random.Generator | None) -> "LinearHead":
+        return cls(**init_params([("w", (in_dim, n_outputs), "weight"),
+                                  ("b", (1, n_outputs), "bias")], rng))
 
     @classmethod
     def zeros(cls, in_dim: int, n_outputs: int) -> "LinearHead":
-        return cls(
-            T.Tensor(np.zeros((in_dim, n_outputs)), requires_grad=True),
-            T.Tensor(np.zeros((1, n_outputs)), requires_grad=True),
-        )
+        return cls.init(in_dim, n_outputs, None)
 
     @property
     def in_dim(self) -> int:
@@ -94,7 +87,7 @@ class CoAttentionBlock:
     """
 
     def __init__(self, d_speech: int, d_text: int, n_heads: int, params: dict[str, T.Tensor]):
-        if d_speech % n_heads != 0 or d_text % n_heads != 0:
+        if n_heads < 1 or d_speech % n_heads != 0 or d_text % n_heads != 0:
             raise ConfigError(
                 f"n_heads {n_heads} must divide both d_speech {d_speech} and d_text {d_text}"
             )
@@ -104,30 +97,23 @@ class CoAttentionBlock:
         self.params = params
 
     @classmethod
-    def shapes(cls, d_speech: int, d_text: int) -> list[tuple[str, tuple[int, int]]]:
-        out: list[tuple[str, tuple[int, int]]] = []
+    def shapes(cls, d_speech: int, d_text: int) -> list[tuple[str, tuple[int, int], str]]:
+        """(name, shape, kind) of every parameter, in checkpoint order."""
+        out: list[tuple[str, tuple[int, int], str]] = []
         for pfx, d_q, d_kv in (("sq", d_speech, d_text), ("tq", d_text, d_speech)):
             for proj, d_in in (("q", d_q), ("k", d_kv), ("v", d_kv), ("o", d_q)):
-                out += [(f"{pfx}.{proj}_w", (d_in, d_q)), (f"{pfx}.{proj}_b", (1, d_q))]
+                out += [(f"{pfx}.{proj}_w", (d_in, d_q), "weight"),
+                        (f"{pfx}.{proj}_b", (1, d_q), "bias")]
         return out
 
     @classmethod
-    def init(cls, d_speech: int, d_text: int, n_heads: int, rng: np.random.Generator) -> "CoAttentionBlock":
-        params = {}
-        for name, shape in cls.shapes(d_speech, d_text):
-            if name.endswith("_b"):
-                data = np.zeros(shape)
-            else:
-                data = rng.normal(0.0, INIT_STD, size=shape)
-            params[name] = T.Tensor(data, requires_grad=True)
-        return cls(d_speech, d_text, n_heads, params)
+    def init(cls, d_speech: int, d_text: int, n_heads: int,
+             rng: np.random.Generator | None) -> "CoAttentionBlock":
+        return cls(d_speech, d_text, n_heads, init_params(cls.shapes(d_speech, d_text), rng))
 
     @classmethod
     def zeros(cls, d_speech: int, d_text: int, n_heads: int) -> "CoAttentionBlock":
-        return cls(d_speech, d_text, n_heads, {
-            name: T.Tensor(np.zeros(shape), requires_grad=True)
-            for name, shape in cls.shapes(d_speech, d_text)
-        })
+        return cls.init(d_speech, d_text, n_heads, None)
 
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
@@ -190,6 +176,16 @@ def unimodal_head(cls_vec: T.Tensor, head: LinearHead) -> FusionOutput:
     return FusionOutput(logits=head.apply(cls_vec))
 
 
+def _check_parts(kind: str, speech, text) -> None:
+    """``kind`` is a fusion kind, and the encoders (or their configs) it uses are given."""
+    if kind not in FUSION_KINDS:
+        raise ConfigError(f"fusion kind must be one of {FUSION_KINDS}, got {kind!r}")
+    if kind != "text-only" and speech is None:
+        raise ConfigError(f"{kind} fusion needs a speech encoder")
+    if kind != "speech-only" and text is None:
+        raise ConfigError(f"{kind} fusion needs a text encoder")
+
+
 def _head_width(kind: str, speech: EncoderState | None, text: EncoderState | None) -> int:
     """Input features of the head: the CLS widths that ``kind`` concatenates."""
     width = speech.cfg.d_model if kind != "text-only" else 0
@@ -208,12 +204,7 @@ class FusionModel:
         block: CoAttentionBlock | None = None,
         fusion_dropout: float = 0.0,
     ):
-        if kind not in FUSION_KINDS:
-            raise ConfigError(f"fusion kind must be one of {FUSION_KINDS}, got {kind!r}")
-        if kind != "text-only" and speech is None:
-            raise ConfigError(f"{kind} fusion needs a speech encoder")
-        if kind != "speech-only" and text is None:
-            raise ConfigError(f"{kind} fusion needs a text encoder")
+        _check_parts(kind, speech, text)
         if kind == "coattn" and block is None:
             raise ConfigError("coattn fusion needs a CoAttentionBlock")
         width = _head_width(kind, speech, text)
@@ -228,14 +219,16 @@ class FusionModel:
         self.fusion_dropout = fusion_dropout
 
     @classmethod
-    def init(cls, kind: str, speech_cfg: EncoderConfig, text_cfg: EncoderConfig,
-             n_outputs: int, coattn_heads: int, rng: np.random.Generator,
+    def init(cls, kind: str, speech_cfg: EncoderConfig | None, text_cfg: EncoderConfig | None,
+             n_outputs: int, coattn_heads: int, rng: np.random.Generator | None,
              fusion_dropout: float = 0.0) -> "FusionModel":
         """Fresh model of ``kind``; only the encoders it uses are built.
 
         Draws from ``rng`` in a fixed order: speech encoder, text encoder,
-        head, co-attention block.
+        head, co-attention block. With ``rng=None`` every parameter is zero,
+        the blank that ``load_fusion_checkpoint`` fills.
         """
+        _check_parts(kind, speech_cfg, text_cfg)
         speech = EncoderState.init(speech_cfg, rng) if kind != "text-only" else None
         text = EncoderState.init(text_cfg, rng) if kind != "speech-only" else None
         head = LinearHead.init(_head_width(kind, speech, text), n_outputs, rng)

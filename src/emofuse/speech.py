@@ -235,15 +235,16 @@ def train_codebook(
     centroids = _kmeans_pp_init(frames, k, rng)
     for _ in range(max_iters):
         assign = nearest_centroid(frames, centroids)
+        # Sum each cluster's members from 0.0 in frame order, as members.mean
+        # does, so the codebook bytes do not depend on how the sum is grouped.
+        counts = np.bincount(assign, minlength=k)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assign, frames)
         new = centroids.copy()
-        empties = []
-        for j in range(k):
-            members = frames[assign == j]
-            if len(members):
-                new[j] = members.mean(axis=0)
-            else:
-                empties.append(j)
-        if empties:
+        filled = counts > 0
+        new[filled] = sums[filled] / counts[filled, None]
+        empties = np.flatnonzero(~filled)
+        if len(empties):
             # Hand each empty cluster the point worst served by its centroid,
             # by the same exact distance as _squared_distances.
             diff = frames - centroids[assign]

@@ -30,8 +30,9 @@ class TrainConfig:
 
     warmup_steps and total_steps may be left unset; run_finetune resolves
     total_steps from epochs and dataset size, and warmup defaults to 6% of
-    total. peak_lr 1e-5, dropout 0.1, and batch_size 16 are the reference
-    operating point for fine-tuning.
+    total. peak_lr 1e-5 and batch_size 16 are the reference operating point
+    for fine-tuning. Dropout is not set here: each encoder takes its rate from
+    ``EncoderConfig.dropout_rate`` and fusion from ``FusionModel.fusion_dropout``.
     """
 
     peak_lr: float = 1e-5
@@ -40,7 +41,6 @@ class TrainConfig:
     end_lr: float = 0.0
     power: float = 1.0
     batch_size: int = 16
-    dropout: float = 0.1
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8

@@ -108,6 +108,17 @@ class TestEncoderCheckpoint:
         for name, p in state.params.items():
             assert np.array_equal(p.data, loaded.params[name].data)
 
+    def test_missing_block_is_input_error_naming_file_and_block(self, tmp_path):
+        path = tmp_path / "enc.ckpt"
+        save_encoder_checkpoint(path, EncoderState.init(CFG, np.random.default_rng(3)))
+        meta, blocks = load_checkpoint(path)
+        del blocks["tok_emb"]
+        save_checkpoint(path, meta, blocks)
+        with pytest.raises(InputError) as err:
+            load_encoder_checkpoint(path)
+        assert str(path) in str(err.value) and "'tok_emb'" in str(err.value)
+        assert "(11, 16)" in str(err.value)
+
     def test_wrong_kind_rejected(self, tmp_path, rng):
         path = tmp_path / "x.ckpt"
         save_checkpoint(path, {"kind": "fusion"}, {"w": rng.standard_normal((2, 2))})
@@ -140,6 +151,13 @@ class TestFusionCheckpoint:
         for name in ours:
             assert np.array_equal(ours[name].data, theirs[name].data)
 
+    def test_save_load_save_is_bitwise_identity(self, tmp_path):
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_fusion_checkpoint(p1, self.build_model(), label_mode="categorical")
+        loaded, meta = load_fusion_checkpoint(p1)
+        save_fusion_checkpoint(p2, loaded, label_mode=meta["label_mode"])
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_save_is_deterministic(self, tmp_path):
         model = self.build_model()
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -152,6 +170,10 @@ class TestFusionCheckpoint:
         lambda meta: meta["text_config"].update(n_heads=3),
         lambda meta: meta["coattn"].pop("n_heads"),
         lambda meta: meta["speech_config"].update(bogus=1),
+        lambda meta: meta["speech_config"].update(n_heads=0),
+        lambda meta: meta["coattn"].update(n_heads=0),
+        lambda meta: meta.update(fusion="bogus"),
+        lambda meta: meta.update(fusion="text-only", text_config=None),
     ])
     def test_metadata_that_builds_no_model_is_input_error(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
@@ -173,15 +195,25 @@ class TestFusionCheckpoint:
             load_fusion_checkpoint(path)
         assert str(path) in str(err.value) and "24" in str(err.value)
 
-    def test_coattn_block_shape_mismatch_rejected_at_load(self, tmp_path):
+    @pytest.mark.parametrize("name, replacement, expected", [
+        ("fusion.block.sq.q_w", np.zeros((16, 8)), "(16, 16)"),  # speech queries are 16 wide
+        ("speech.tok_emb", None, "(11, 16)"),
+        ("text.layers.0.ff.w1", np.zeros((16, 8)), "(8, 16)"),
+        ("fusion.head.b", None, "(1, 8)"),
+    ], ids=["coattn-misshapen", "speech-missing", "text-misshapen", "head-missing"])
+    def test_bad_block_rejected_at_load(self, tmp_path, name, replacement, expected):
         path = tmp_path / "model.ckpt"
         save_fusion_checkpoint(path, self.build_model(), label_mode="categorical")
         meta, blocks = load_checkpoint(path)
-        blocks["fusion.block.sq.q_w"] = np.zeros((16, 8))  # speech queries need [16 x 16]
+        if replacement is None:
+            del blocks[name]
+        else:
+            blocks[name] = replacement
         save_checkpoint(path, meta, blocks)
         with pytest.raises(InputError) as err:
             load_fusion_checkpoint(path)
-        assert str(path) in str(err.value) and "sq.q_w" in str(err.value)
+        message = str(err.value)
+        assert str(path) in message and repr(name) in message and expected in message
 
     def test_unimodal_model_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)

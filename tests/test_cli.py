@@ -92,6 +92,20 @@ class TestPrepare:
         assert len(corpus_tokens) <= 3
 
 
+@pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])
+@pytest.mark.parametrize("command", ["prepare", "pretrain"])
+def test_dataset_without_examples_exits_2_naming_file(workspace, tmp_path, capsys,
+                                                      command, content):
+    data = tmp_path / "dataset.jsonl"
+    data.write_text(content)
+    extra = ["--codebook", f"{workspace}/codebook.bin", "--steps", "1"] \
+        if command == "pretrain" else []
+    capsys.readouterr()
+    code = main([command, "--dataset", str(data), "--out-dir", str(tmp_path / "out"), *extra])
+    assert code == 2
+    assert str(data) in capsys.readouterr().err
+
+
 class TestPretrain:
     def test_loss_log_and_resume(self, workspace, tmp_path):
         out = tmp_path / "pre"

@@ -89,8 +89,7 @@ class TestForward:
         i, j = 2, 4  # non-CLS positions
         ids = list(seq.ids)
         ids[i], ids[j] = ids[j], ids[i]
-        permuted_state = EncoderState.zeros(TINY)
-        permuted_state.load_arrays(state.copy_arrays())
+        permuted_state = tiny_state()
         pos = permuted_state.params["pos_emb"].data
         pos[[i, j]] = pos[[j, i]]
         swapped = forward(TokenSequence("text", tuple(ids)), permuted_state).hidden.data

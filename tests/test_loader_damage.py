@@ -5,9 +5,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from emofuse.checkpoint import load_fusion_checkpoint, save_fusion_checkpoint
+from emofuse.checkpoint import (
+    load_encoder_checkpoint,
+    load_fusion_checkpoint,
+    save_encoder_checkpoint,
+    save_fusion_checkpoint,
+)
 from emofuse.data import Dataset, LabeledExample, load_jsonl, save_jsonl
-from emofuse.encoder import EncoderConfig
+from emofuse.encoder import EncoderConfig, EncoderState
 from emofuse.errors import InputError
 from emofuse.fusion import FusionModel
 from emofuse.speech import Codebook
@@ -43,11 +48,20 @@ def save_model(path, rng):
     save_fusion_checkpoint(path, model, label_mode="categorical")
 
 
+def save_encoder(path, rng):
+    """A resumable pretraining checkpoint: step meta plus both Adam moments per parameter."""
+    state = EncoderState.init(TINY, rng)
+    moments = {f"adam.{k}.{name}": rng.standard_normal(p.data.shape)
+               for name, p in state.params.items() for k in "mv"}
+    save_encoder_checkpoint(path, state, extra_meta={"step": 3}, extra_blocks=moments)
+
+
 FORMATS = {
     "dataset.jsonl": (save_dataset, load_jsonl),
     "codebook.bin": (save_codebook, Codebook.load),
     "vocab.txt": (save_vocab, Vocabulary.load),
     "model.ckpt": (save_model, load_fusion_checkpoint),
+    "speech_encoder.ckpt": (save_encoder, load_encoder_checkpoint),
 }
 
 
