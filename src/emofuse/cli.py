@@ -62,6 +62,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _out_dir(args) -> Path:
     path = Path(args.out_dir or os.environ.get("EMOFUSE_OUT") or "runs")
     path.mkdir(parents=True, exist_ok=True)
@@ -500,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
     p.add_argument("--require-pretrained", action="store_true",
                    help="fail instead of starting fresh")
-    p.add_argument("--checkpoint-interval", type=int, default=0,
+    p.add_argument("--checkpoint-interval", type=_int_at_least(0), default=0,
                    help="write the checkpoint every N steps (0: only at the end)")
     _add_common(p)
     _add_arch(p)
@@ -513,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fusion mechanism")
     p.add_argument("--freeze", choices=FREEZE_CHOICES, default="none",
                    help="encoders to exclude from training")
-    p.add_argument("--epochs", type=int, default=10, help="training epochs")
+    p.add_argument("--epochs", type=_int_at_least(1), default=10, help="training epochs")
     p.add_argument("--coattn-heads", type=int, default=4, help="co-attention heads")
     p.add_argument("--speech-checkpoint", default=None,
                    help="pretrained speech encoder checkpoint")
@@ -533,8 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("ablate", "run the fusion/freeze ablation grid")
     _add_inputs(p, "dataset", "vocab", "codebook")
-    p.add_argument("--epochs", type=int, default=10, help="training epochs per cell")
-    p.add_argument("--reps", type=int, default=3, help="repetitions per cell")
+    p.add_argument("--epochs", type=_int_at_least(1), default=10,
+                   help="training epochs per cell")
+    p.add_argument("--reps", type=_int_at_least(1), default=3, help="repetitions per cell")
     p.add_argument("--coattn-heads", type=int, default=4, help="co-attention heads")
     _add_common(p)
     _add_arch(p)

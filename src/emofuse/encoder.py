@@ -163,21 +163,16 @@ def multi_head_attention(x, kv, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
     """Scaled dot-product attention of the rows of ``x`` over the rows of ``kv``.
 
     Self-attention passes ``kv = x``; co-attention passes the other modality's
-    sequence. The heads run as one [n_heads x L x d_head] batch. Returns the
-    output [Lq x d] and the weights [n_heads x Lq x Lkv].
+    sequence. The heads run as one [n_heads x L x d_head] batch, split from and
+    merged back into the projections' columns. Returns the output [Lq x d] and
+    the weights [n_heads x Lq x Lkv].
     """
-    d = wq.data.shape[1]
-    dh = d // n_heads
-
-    def split_heads(t):
-        return T.transpose(T.reshape(t, (t.data.shape[0], n_heads, dh)), (1, 0, 2))
-
-    q = split_heads(T.matmul(x, wq) + bq)
-    k = split_heads(T.matmul(kv, wk) + bk)
-    v = split_heads(T.matmul(kv, wv) + bv)
+    dh = wq.data.shape[1] // n_heads
+    q = T.split_heads(T.linear(x, wq, bq), n_heads)
+    k = T.split_heads(T.linear(kv, wk, bk), n_heads)
+    v = T.split_heads(T.linear(kv, wv, bv), n_heads)
     attn = T.softmax_rows(T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh)))
-    ctx = T.reshape(T.transpose(T.matmul(attn, v), (1, 0, 2)), (x.data.shape[0], d))
-    return T.matmul(ctx, wo) + bo, attn.data
+    return T.linear(T.merge_heads(T.matmul(attn, v)), wo, bo), attn.data
 
 
 def forward(
@@ -216,8 +211,8 @@ def forward(
             attns.append(w)
         x = x + T.dropout(a, drop, rng, train_mode)
         h2 = T.layer_norm(x, prms[f"{p}.ln2.g"], prms[f"{p}.ln2.b"])
-        f = T.matmul(T.gelu(T.matmul(h2, prms[f"{p}.ff.w1"]) + prms[f"{p}.ff.b1"]), prms[f"{p}.ff.w2"])
-        f = f + prms[f"{p}.ff.b2"]
+        f = T.gelu(T.linear(h2, prms[f"{p}.ff.w1"], prms[f"{p}.ff.b1"]))
+        f = T.linear(f, prms[f"{p}.ff.w2"], prms[f"{p}.ff.b2"])
         x = x + T.dropout(f, drop, rng, train_mode)
     y = T.layer_norm(x, prms["final_ln.g"], prms["final_ln.b"])
     return EncoderOutput(hidden=y, attentions=attns if collect_attention else None)
@@ -279,5 +274,5 @@ def masked_lm_loss(
     positions = np.array([p for p, _ in targets], dtype=np.int64)
     originals = np.array([o for _, o in targets], dtype=np.int64)
     picked = T.gather_rows(out.hidden, positions)
-    logits = T.matmul(picked, T.transpose(state.params["tok_emb"])) + state.params["mlm_bias"]
+    logits = T.linear(picked, T.transpose(state.params["tok_emb"]), state.params["mlm_bias"])
     return T.cross_entropy_rows(logits, originals)

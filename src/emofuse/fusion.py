@@ -63,7 +63,7 @@ class LinearHead:
             raise ConfigError(
                 f"head expects {self.in_dim} input features, got {features.data.shape[1]}"
             )
-        return T.matmul(features, self.w) + self.b
+        return T.linear(features, self.w, self.b)
 
 
 def shallow_head_param_count(d_speech: int, d_text: int, n_outputs: int) -> int:

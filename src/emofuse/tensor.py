@@ -1,16 +1,26 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A Tensor wraps one numpy array in double precision. Applying an operation
-attaches an OpRecord describing how to replay gradients; backward() walks
-the records in reverse topological order and accumulates gradients into the
-leaf tensors that requested them. Randomness (dropout) always comes from an
-explicitly passed numpy Generator, never from global state.
+to an input that requires gradients attaches an OpRecord describing how to
+replay them; backward() walks the records in reverse topological order and
+accumulates gradients into the leaf tensors that requested them. Inside a
+``no_grad()`` block no operation records anything, so a forward pass that is
+never differentiated (evaluation) builds no graph. Randomness (dropout)
+always comes from an explicitly passed numpy Generator, never from global
+state.
+
+Besides elementwise and matrix primitives there are fused ops for the
+transformer's hot spots, each one record with a hand-written VJP: ``linear``
+(matmul plus bias) and ``split_heads``/``merge_heads`` (the [L x d] <->
+[n_heads x L x d_head] regrouping of attention heads). They compute exactly
+the arrays their unfused compositions compute, bit for bit.
 
 The GELU here is the exact-erf form, x * Phi(x).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -24,6 +34,9 @@ Array = np.ndarray
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# False inside a no_grad() block: operations then record no OpRecord.
+_recording = True
 
 
 @dataclass
@@ -91,8 +104,24 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Run the block without recording: every result is a plain, graph-free tensor.
+
+    The values are the same as with recording. Blocks nest, and the previous
+    mode comes back on exit, also when the block raises.
+    """
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _result(name: str, out: Array, inputs: tuple[Tensor, ...], vjp) -> Tensor:
-    if any(t.requires_grad for t in inputs):
+    if _recording and any(t.requires_grad for t in inputs):
         return Tensor(out, requires_grad=True, op=OpRecord(name, inputs, vjp))
     return Tensor(out)
 
@@ -164,6 +193,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
 
     return _result("matmul", out, (a, b), vjp)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` of a 2-D tensor, the bias row broadcast over the rows.
+
+    One record in place of a matmul and a bias add, with the same result.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"linear: incompatible shapes {x.data.shape} and {w.data.shape}")
+    n = w.data.shape[1]
+    if b.data.shape not in ((n,), (1, n)):
+        raise ShapeError(f"linear: bias {b.data.shape} is not one row of {n}")
+    out = x.data @ w.data + b.data
+
+    def vjp(g: Array):
+        return g @ w.data.T, x.data.T @ g, _unbroadcast(g, b.data.shape)
+
+    return _result("linear", out, (x, w, b), vjp)
+
+
+def split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """[L x d] -> [n_heads x L x d/n_heads]: head h takes column block h of every row."""
+    if x.data.ndim != 2 or n_heads < 1 or x.data.shape[1] % n_heads != 0:
+        raise ShapeError(f"split_heads: cannot split shape {x.shape} into {n_heads} heads")
+    rows, d = x.data.shape
+    out = x.data.reshape(rows, n_heads, d // n_heads).transpose(1, 0, 2)
+    return _result("split_heads", out, (x,), lambda g: (g.transpose(1, 0, 2).reshape(rows, d),))
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """[n_heads x L x d_head] -> [L x n_heads*d_head], the inverse of ``split_heads``."""
+    if x.data.ndim != 3:
+        raise ShapeError(f"merge_heads needs a 3-D tensor, got shape {x.shape}")
+    n_heads, rows, dh = x.data.shape
+    out = x.data.transpose(1, 0, 2).reshape(rows, n_heads * dh)
+    return _result("merge_heads", out, (x,),
+                   lambda g: (g.reshape(rows, n_heads, dh).transpose(1, 0, 2),))
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:

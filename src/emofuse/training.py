@@ -11,6 +11,7 @@ their outputs are computed once per distinct token sequence and cached.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,6 +53,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
+        if not 0.0 <= self.peak_lr < math.inf:
+            raise ConfigError(f"peak_lr must be finite and non-negative, got {self.peak_lr}")
+        if self.grad_clip is not None and not 0.0 < self.grad_clip < math.inf:
+            raise ConfigError(f"grad_clip must be finite and positive, got {self.grad_clip}")
         if self.total_steps is not None:
             w = self.warmup_steps if self.warmup_steps is not None else 0
             if w >= self.total_steps:
@@ -106,8 +111,13 @@ def adam_step(
     lr: float,
     cfg: TrainConfig,
 ) -> None:
-    """Standard bias-corrected Adam update, in place."""
-    if lr < 0.0:
+    """Standard bias-corrected Adam update of the moments and ``p.data``, in place.
+
+    Each elementwise operation of ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps)``
+    runs in the textbook order, so the result is bitwise that formula's; two
+    scratch arrays per parameter stand in for its fourteen temporaries.
+    """
+    if not lr >= 0.0:
         raise UsageError(f"learning rate must be non-negative, got {lr}")
     opt.step += 1
     bc1 = 1.0 - cfg.beta1 ** opt.step
@@ -116,11 +126,22 @@ def adam_step(
         g = grads[name]
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite (NaN or inf) gradient for parameter {name!r}")
-        opt.m[name] = cfg.beta1 * opt.m[name] + (1.0 - cfg.beta1) * g
-        opt.v[name] = cfg.beta2 * opt.v[name] + (1.0 - cfg.beta2) * g * g
-        m_hat = opt.m[name] / bc1
-        v_hat = opt.v[name] / bc2
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        m, v = opt.m[name], opt.v[name]
+        scratch, update = np.empty_like(m), np.empty_like(m)
+        np.multiply(g, 1.0 - cfg.beta1, out=scratch)
+        m *= cfg.beta1
+        m += scratch
+        np.multiply(g, 1.0 - cfg.beta2, out=scratch)
+        scratch *= g
+        v *= cfg.beta2
+        v += scratch
+        denom = np.divide(v, bc2, out=scratch)
+        np.sqrt(denom, out=denom)
+        denom += cfg.eps
+        np.divide(m, bc1, out=update)
+        update *= lr
+        update /= denom
+        p.data -= update
 
 
 def _clipped(grads: dict[str, np.ndarray], clip: float | None) -> dict[str, np.ndarray]:
@@ -318,13 +339,18 @@ def evaluate_model(
     speech_cache: _EncoderCache | None = None,
     text_cache: _EncoderCache | None = None,
 ):
-    """Eval-mode predictions over a split, summarized as a MetricReport."""
+    """Eval-mode predictions over a split, summarized as a MetricReport.
+
+    The forwards run under ``T.no_grad()``: nothing differentiates them, so
+    they record no graph.
+    """
     if not examples:
         raise InputError("cannot evaluate on an empty example list")
     preds, golds = [], []
     for ex in examples:
-        speech_out, text_out = _model_outputs(model, ex, False, None, speech_cache, text_cache)
-        fused = model.fuse(speech_out, text_out, train_mode=False)
+        with T.no_grad():
+            speech_out, text_out = _model_outputs(model, ex, False, None, speech_cache, text_cache)
+            fused = model.fuse(speech_out, text_out, train_mode=False)
         if label_mode == "categorical":
             preds.append(predict_class(fused.logits.data))
             golds.append(int(ex.target))

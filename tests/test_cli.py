@@ -356,6 +356,37 @@ class TestAblate:
             assert finetune[metric.replace("ba[", "binary_accuracy[")] == value, metric
 
 
+# Out-of-range numbers: (command, flag, value, text the message must contain).
+# Each is a usage error, exit 1, before any training.
+BAD_NUMBERS = [
+    ("ablate", "--reps", "0", "--reps"),
+    ("ablate", "--epochs", "0", "--epochs"),
+    ("finetune", "--epochs", "0", "--epochs"),
+    ("pretrain", "--checkpoint-interval", "-1", "--checkpoint-interval"),
+    *[(command, "--grad-clip", value, "grad_clip")
+      for command in ("finetune", "pretrain") for value in ("-1", "0", "nan", "inf")],
+    *[(command, "--lr", value, "peak_lr")
+      for command in ("finetune", "pretrain") for value in ("nan", "inf")],
+]
+
+
+@pytest.mark.parametrize("command, flag, value, names", BAD_NUMBERS)
+def test_out_of_range_number_exits_1(workspace, tmp_path, capsys, command, flag, value, names):
+    inputs = ["--dataset", f"{workspace}/dataset.jsonl", "--codebook", f"{workspace}/codebook.bin"]
+    if command == "pretrain":
+        inputs += ["--steps", "2", "--batch-size", "2"]
+    else:
+        inputs += ["--vocab", f"{workspace}/vocab.txt", "--epochs", "1", "--batch-size", "8"]
+    if command == "ablate":
+        inputs += ["--reps", "1"]
+    capsys.readouterr()
+    code = main([command, *inputs, "--out-dir", str(tmp_path), *TINY_ARCH, flag, value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert names in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 class TestExitCodesAndHelp:
     def test_missing_dataset_is_input_error(self, tmp_path):
         assert main(["prepare", "--dataset", str(tmp_path / "none.jsonl"),

@@ -98,6 +98,38 @@ class TestForward:
         assert np.allclose(swapped, expected, atol=1e-10)
 
 
+def recorded_ops(tensor) -> dict[str, int]:
+    """Names of the recorded operations reachable from ``tensor``, with counts."""
+    counts: dict[str, int] = {}
+    seen: set[int] = set()
+    stack = [tensor]
+    while stack:
+        node = stack.pop()
+        if node.op is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        counts[node.op.name] = counts.get(node.op.name, 0) + 1
+        stack.extend(node.op.inputs)
+    return counts
+
+
+class TestGraphSize:
+    def test_train_forward_records_fused_ops(self):
+        """Per layer: layer norms 2, linear 6 (q, k, v, o, two feed-forward),
+        split_heads 3, merge_heads 1, the key transpose, two attention matmuls,
+        scale, softmax, gelu, two dropouts and two residual adds; plus two
+        embedding gathers, their add, a dropout and the final layer norm."""
+        out = forward(make_seq([5, 6, 7, 8]), tiny_state(), train_mode=True,
+                      rng=np.random.default_rng(0))
+        ops = recorded_ops(out.hidden)
+        n = TINY.n_layers
+        assert ops == {"gather_rows": 2, "add": 1 + 2 * n, "dropout": 1 + 2 * n,
+                       "layer_norm": 1 + 2 * n, "linear": 6 * n, "split_heads": 3 * n,
+                       "merge_heads": n, "transpose": n, "matmul": 2 * n, "scale": n,
+                       "softmax_rows": n, "gelu": n}
+        assert sum(ops.values()) == 5 + 22 * n
+
+
 class TestMultiHeadAttention:
     """The head-batched routine against the per-head reference loop."""
 

@@ -234,6 +234,77 @@ class TestBackward:
         assert_grads_match(loss, [q, k, v])
 
 
+class TestFusedOps:
+    """linear and split/merge_heads compute their unfused compositions bit for bit."""
+
+    def _grads(self, build, leaves):
+        T.zero_grads(leaves)
+        out = build()
+        T.backward(T.sum_all(T.mul(out, out)))
+        return out.data, [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("bias_shape", [(1, 7), (7,)])
+    def test_linear_is_matmul_plus_bias_bitwise(self, rng, bias_shape):
+        x = T.Tensor(rng.standard_normal((5, 9)), requires_grad=True)
+        w = T.Tensor(rng.standard_normal((9, 7)), requires_grad=True)
+        b = T.Tensor(rng.standard_normal(bias_shape), requires_grad=True)
+        fused, fused_grads = self._grads(lambda: T.linear(x, w, b), [x, w, b])
+        plain, plain_grads = self._grads(lambda: T.matmul(x, w) + b, [x, w, b])
+        assert np.array_equal(fused, plain)
+        assert all(np.array_equal(f, p) for f, p in zip(fused_grads, plain_grads))
+
+    def test_head_split_and_merge_are_reshape_transpose_bitwise(self, rng):
+        x = T.Tensor(rng.standard_normal((6, 12)), requires_grad=True)
+        w = T.Tensor(rng.standard_normal((3, 4, 4)))
+        fused, fused_grads = self._grads(
+            lambda: T.merge_heads(T.matmul(T.split_heads(x, 3), w)), [x])
+        plain, plain_grads = self._grads(
+            lambda: T.reshape(T.transpose(T.matmul(
+                T.transpose(T.reshape(x, (6, 3, 4)), (1, 0, 2)), w), (1, 0, 2)), (6, 12)), [x])
+        assert np.array_equal(fused, plain)
+        assert np.array_equal(fused_grads[0], plain_grads[0])
+        assert np.array_equal(T.merge_heads(T.split_heads(x, 4)).data, x.data)
+
+    def test_shape_errors(self):
+        x, w = T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((3, 4)))
+        for bad_w, bad_b in ((np.zeros((2, 4)), np.zeros((1, 4))),
+                             (np.zeros((3, 4)), np.zeros((1, 3))),
+                             (np.zeros((3, 4)), np.zeros((2, 4)))):
+            with pytest.raises(ShapeError):
+                T.linear(x, T.Tensor(bad_w), T.Tensor(bad_b))
+        for heads in (0, 2):
+            with pytest.raises(ShapeError):
+                T.split_heads(x, heads)
+        with pytest.raises(ShapeError):
+            T.merge_heads(w)
+
+
+class TestNoGrad:
+    def test_records_nothing_and_keeps_values(self, rng):
+        x = T.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = T.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        b = T.Tensor(np.ones(4))
+        recorded = T.softmax_rows(T.linear(x, w, b))
+        with T.no_grad():
+            bare = T.softmax_rows(T.linear(x, w, b))
+        assert recorded.op is not None and recorded.requires_grad
+        assert bare.op is None and not bare.requires_grad
+        assert np.array_equal(bare.data, recorded.data)
+        assert (x + x).op is not None
+
+    def test_nesting_and_exceptions_restore_recording(self):
+        x = T.Tensor([[1.0, 2.0]], requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                assert (x + x).op is None
+            assert (x + x).op is None
+        assert (x + x).op is not None
+        with pytest.raises(ShapeError):
+            with T.no_grad():
+                T.matmul(x, x)
+        assert (x + x).op is not None
+
+
 class TestGradientsMatchFiniteDifferences:
     """Every primitive against the central-difference oracle on random shapes <= 8x8."""
 
@@ -257,6 +328,9 @@ class TestGradientsMatchFiniteDifferences:
                 lambda: T.sum_all(T.mul(T.transpose(a), T.transpose(a))), [a])
             assert_grads_match(
                 lambda: T.sum_all(T.mul(T.reshape(a, (k * m, 1)), T.reshape(a, (k * m, 1)))), [a])
+            c = T.Tensor(rng.standard_normal((1, n)), requires_grad=True)
+            assert_grads_match(
+                lambda: T.sum_all(T.mul(T.linear(a, b, c), T.linear(a, b, c))), [a, b, c])
         for _ in range(3):
             s, m, k, n = rng.integers(1, 5, size=4)
             a = T.Tensor(rng.standard_normal((s, m, k)), requires_grad=True)
@@ -267,6 +341,12 @@ class TestGradientsMatchFiniteDifferences:
                 lambda: T.sum_all(T.mul(T.transpose(T.matmul(a, b), (1, 0, 2)), w)), [a, b])
             assert_grads_match(
                 lambda: T.sum_all(T.mul(T.transpose(a, (2, 0, 1)), T.transpose(a, (2, 0, 1)))), [a])
+            # Head regrouping, each op against a fixed weight of its output shape.
+            x = T.Tensor(rng.standard_normal((m, s * k)), requires_grad=True)
+            wx = T.Tensor(rng.standard_normal((s, m, k)))
+            wa = T.Tensor(rng.standard_normal((m, s * k)))
+            assert_grads_match(lambda: T.sum_all(T.mul(T.split_heads(x, s), wx)), [x])
+            assert_grads_match(lambda: T.sum_all(T.mul(T.merge_heads(a), wa)), [a])
 
     def test_concat_slice_gather(self, rng):
         a = T.Tensor(rng.standard_normal((4, 3)), requires_grad=True)

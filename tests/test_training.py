@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from emofuse import tensor as T
+from emofuse import training
 from emofuse.data import TokenizedExample, generate_synthetic, tokenize_examples
 from emofuse.encoder import EncoderConfig, EncoderState, forward
 from emofuse.errors import ConfigError, NumericError, UsageError
@@ -28,6 +29,8 @@ from emofuse.training import (
     run_finetune,
     run_pretraining,
 )
+
+from conftest import out_of_place_adam_step
 
 TINY = EncoderConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32,
                      vocab_size=11, max_len=16, dropout_rate=0.1)
@@ -74,6 +77,14 @@ class TestLrSchedule:
         with pytest.raises(ConfigError):
             TrainConfig(warmup_steps=10, total_steps=10)
 
+    @pytest.mark.parametrize("field, value", [
+        ("peak_lr", -1e-3), ("peak_lr", math.nan), ("peak_lr", math.inf),
+        ("grad_clip", -1.0), ("grad_clip", 0.0), ("grad_clip", math.nan), ("grad_clip", math.inf),
+    ])
+    def test_bad_lr_or_clip_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
     def test_default_warmup_is_six_percent(self):
         cfg = TrainConfig(total_steps=1000).resolved()
         assert cfg.warmup_steps == 60
@@ -106,6 +117,34 @@ class TestAdam:
         adam_step(params, grads, opt, 0.0, cfg)
         assert np.array_equal(params["w"].data, [1.0, 2.0, 3.0])
         assert opt.m["w"].any() and opt.v["w"].any()
+
+    @pytest.mark.parametrize("lrs", [[1e-3, 3e-2, 1e-3, 5e-4, 1e-2], [0.0, 0.0, 1e-3, 0.0]])
+    def test_bitwise_equal_to_out_of_place_formula(self, rng, lrs):
+        cfg = TrainConfig(total_steps=10, warmup_steps=1)
+        shapes = {"w": (5, 3), "b": (1, 3), "s": ()}
+        start = {n: rng.standard_normal(shape) for n, shape in shapes.items()}
+        runs = []
+        for step_fn in (adam_step, out_of_place_adam_step):
+            params = {n: T.Tensor(a.copy(), requires_grad=True) for n, a in start.items()}
+            opt = AdamState.fresh(params)
+            draws = np.random.default_rng(5)
+            for lr in lrs:
+                grads = {n: draws.standard_normal(shape) * 10.0 ** draws.integers(-9, 3)
+                         for n, shape in shapes.items()}
+                step_fn(params, grads, opt, lr, cfg)
+            runs.append((params, opt))
+        (params, opt), (ref_params, ref_opt) = runs
+        assert opt.step == ref_opt.step == len(lrs)
+        for n in shapes:
+            assert np.array_equal(params[n].data, ref_params[n].data)
+            assert np.array_equal(opt.m[n], ref_opt.m[n])
+            assert np.array_equal(opt.v[n], ref_opt.v[n])
+
+    def test_nan_lr_rejected(self):
+        cfg = TrainConfig(total_steps=10, warmup_steps=1)
+        params, grads, opt = self.make([1.0], [0.5])
+        with pytest.raises(UsageError):
+            adam_step(params, grads, opt, math.nan, cfg)
 
     def test_nan_gradient_names_parameter(self):
         cfg = TrainConfig(total_steps=10, warmup_steps=1)
@@ -328,6 +367,45 @@ class TestFinetune:
         assert report.mae is not None and report.acc7 is not None
         losses = [h["value"] for h in result.history if h["metric"] == "loss"]
         assert losses[-1] < losses[0]
+
+
+class TestEvaluationRecordsNoGraph:
+    def _coattn_model(self):
+        text_cfg = EncoderConfig(n_layers=1, d_model=8, n_heads=2, d_ff=16,
+                                 vocab_size=11, max_len=16, dropout_rate=0.1)
+        return FusionModel.init("coattn", TINY, text_cfg, 8, 2, np.random.default_rng(6))
+
+    def _example(self, i):
+        return TokenizedExample(f"e{i}", TokenSequence("speech", (CLS, 5 + i, 6, 7)),
+                                TokenSequence("text", (CLS, 8, 5 + i)), i % 4)
+
+    def test_no_grad_logits_bitwise_equal_to_recorded(self):
+        model = self._coattn_model()
+        ex = self._example(1)
+
+        def logits():
+            speech_out, text_out = _model_outputs(model, ex, False, None, None, None)
+            return model.fuse(speech_out, text_out).logits
+
+        recorded = logits()
+        with T.no_grad():
+            bare = logits()
+        assert recorded.op is not None and bare.op is None
+        assert np.array_equal(bare.data, recorded.data)
+
+    def test_evaluate_model_forwards_record_nothing(self, monkeypatch):
+        outputs = []
+
+        def recording_forward(*args, **kwargs):
+            outputs.append(forward(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(training, "forward", recording_forward)
+        evaluate_model(self._coattn_model(), [self._example(i) for i in range(3)], "categorical")
+        assert len(outputs) == 6
+        assert all(out.hidden.op is None for out in outputs)
+        x = T.Tensor([[1.0]], requires_grad=True)
+        assert (x + x).op is not None
 
 
 class TestEncoderCache:
