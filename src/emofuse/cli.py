@@ -36,7 +36,7 @@ from .data import (
     save_jsonl,
     tokenize_examples,
 )
-from .encoder import EncoderConfig, EncoderState
+from .encoder import SPEECH_DESK, TEXT_DESK, EncoderConfig, EncoderState
 from .errors import EmofuseError, InputError, NumericError, UsageError
 from .fileio import atomic_write_text, sha256_file
 from .fusion import FUSION_KINDS, FusionModel
@@ -115,42 +115,16 @@ class Manifest:
         return path
 
 
-def _parse_config_value(raw: str):
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
-
-
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    """Overlay config-file values onto args; explicit flags still win."""
-    if not getattr(args, "config", None):
-        return
-    path = Path(args.config)
-    if not path.exists():
-        raise InputError(f"config file {path} does not exist")
-    explicit = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InputError(f"{path}:{lineno}: expected 'key = value'")
-        key, raw = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            raise InputError(f"{path}:{lineno}: unknown option {key!r}")
-        if f"--{key.replace('_', '-')}" not in explicit:
-            setattr(args, dest, _parse_config_value(raw))
+# The --speech-* and --text-* flags: name -> (EncoderConfig field, help).
+_ARCH_FLAGS = {"layers": ("n_layers", "encoder layers"), "dim": ("d_model", "embedding dim"),
+               "heads": ("n_heads", "attention heads"), "ff": ("d_ff", "feed-forward dim"),
+               "max_len": ("max_len", "max sequence length")}
 
 
 def _encoder_config(args, modality: str, vocab_size: int) -> EncoderConfig:
     """The --speech-* or --text-* architecture flags as an EncoderConfig."""
-    flag = lambda name: getattr(args, f"{modality}_{name}")
-    return EncoderConfig(
-        n_layers=flag("layers"), d_model=flag("dim"), n_heads=flag("heads"), d_ff=flag("ff"),
-        vocab_size=vocab_size, max_len=flag("max_len"), dropout_rate=args.dropout,
-    )
+    sizes = {field: getattr(args, f"{modality}_{name}") for name, (field, _) in _ARCH_FLAGS.items()}
+    return EncoderConfig(**sizes, vocab_size=vocab_size, dropout_rate=args.dropout)
 
 
 def _train_config(args, **overrides) -> TrainConfig:
@@ -239,8 +213,6 @@ def cmd_pretrain(args) -> int:
     else:
         state = EncoderState.init(_encoder_config(args, "speech", vocab_size),
                                   np.random.default_rng(args.seed))
-        if args.require_pretrained:
-            raise UsageError("--require-pretrained needs --resume pointing at a checkpoint")
         opt = AdamState.fresh(state.params)
 
     cfg = _train_config(args, total_steps=args.steps)
@@ -331,9 +303,7 @@ def cmd_finetune(args) -> int:
     out = _out_dir(args)
     manifest, splits, speech_cfg, text_cfg = _load_run_inputs(args, "finetune")
     if "train" not in splits:
-        raise InputError("dataset has no train split")
-    if args.require_pretrained and not args.speech_checkpoint:
-        raise UsageError("--require-pretrained needs --speech-checkpoint")
+        raise InputError(f"{args.dataset}: dataset has no train split")
     model, result, report = _train_one(args, manifest, splits, speech_cfg, text_cfg,
                                        args.fusion, args.freeze, args.seed,
                                        speech_checkpoint=args.speech_checkpoint)
@@ -364,8 +334,8 @@ def cmd_evaluate(args) -> int:
     dataset = load_jsonl(args.dataset)
     if dataset.label_mode != meta["label_mode"]:
         raise InputError(
-            f"dataset label mode {dataset.label_mode!r} does not match model "
-            f"({meta['label_mode']!r})")
+            f"{args.dataset}: dataset label mode {dataset.label_mode!r} does not match "
+            f"model {args.model} ({meta['label_mode']!r})")
     vocab = Vocabulary.load(args.vocab)
     codebook = Codebook.load(args.codebook)
     speech_max = model.speech.cfg.max_len if model.speech else 8
@@ -395,10 +365,10 @@ def cmd_ablate(args) -> int:
     out = _out_dir(args)
     manifest, splits, speech_cfg, text_cfg = _load_run_inputs(args, "ablate")
     if args.label_mode != "categorical":
-        raise InputError("the ablation grid needs a categorical dataset")
+        raise InputError(f"{args.dataset}: the ablation grid needs a categorical dataset")
     for required in ("train", "valid", "test"):
         if not splits.get(required):
-            raise InputError(f"ablation needs a non-empty {required!r} split")
+            raise InputError(f"{args.dataset}: ablation needs a non-empty {required!r} split")
 
     csv_rows = []
     cell_acc: dict[str, list[float]] = {}
@@ -452,26 +422,28 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="key = value config file; explicit flags win")
 
 
-def _add_arch(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--speech-layers", type=int, default=4, help="speech encoder layers")
-    p.add_argument("--speech-dim", type=int, default=128, help="speech embedding dim")
-    p.add_argument("--speech-heads", type=int, default=4, help="speech attention heads")
-    p.add_argument("--speech-ff", type=int, default=512, help="speech feed-forward dim")
-    p.add_argument("--speech-max-len", type=int, default=256, help="speech max sequence length")
-    p.add_argument("--text-layers", type=int, default=4, help="text encoder layers")
-    p.add_argument("--text-dim", type=int, default=160, help="text embedding dim")
-    p.add_argument("--text-heads", type=int, default=4, help="text attention heads")
-    p.add_argument("--text-ff", type=int, default=640, help="text feed-forward dim")
-    p.add_argument("--text-max-len", type=int, default=64, help="text max sequence length")
-    p.add_argument("--dropout", type=float, default=0.1, help="dropout rate")
-    p.add_argument("--grad-clip", type=float, default=None, help="global gradient-norm clip")
-
-
 def _add_train(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", type=float, default=1e-5, help="peak learning rate")
-    p.add_argument("--batch-size", type=int, default=16, help="effective batch size")
-    p.add_argument("--warmup-steps", type=int, default=None,
+    """Architecture and optimizer flags of pretrain, finetune and ablate."""
+    for modality, desk in (("speech", SPEECH_DESK), ("text", TEXT_DESK)):
+        for name, (field, text) in _ARCH_FLAGS.items():
+            p.add_argument(f"--{modality}-{name.replace('_', '-')}", type=int,
+                           default=getattr(desk, field), help=f"{modality} {text}")
+    p.add_argument("--dropout", type=float, default=EncoderConfig.dropout_rate,
+                   help="dropout rate")
+    p.add_argument("--lr", type=float, default=TrainConfig.peak_lr, help="peak learning rate")
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size,
+                   help="effective batch size")
+    p.add_argument("--warmup-steps", type=int, default=TrainConfig.warmup_steps,
                    help="warmup updates (default: 6%% of total)")
+    p.add_argument("--grad-clip", type=float, default=TrainConfig.grad_clip,
+                   help="global gradient-norm clip")
+
+
+def _add_fusion_run(p: argparse.ArgumentParser) -> None:
+    """Flags of the run behind `finetune` and each `ablate` cell."""
+    _add_inputs(p, "dataset", "vocab", "codebook")
+    p.add_argument("--epochs", type=_int_at_least(1), default=10, help="training epochs")
+    p.add_argument("--coattn-heads", type=int, default=4, help="co-attention heads")
 
 
 _INPUT_HELP = {"dataset": "dataset JSONL path", "vocab": "vocabulary file path",
@@ -488,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="emofuse", allow_abbrev=False, description=__doc__,
                      formatter_class=defaults)
     sub = parser.add_subparsers(dest="command", required=True)
-    add = lambda name, text: sub.add_parser(name, help=text, formatter_class=defaults)
+    add = lambda name, text: sub.add_parser(name, help=text, formatter_class=defaults,
+                                            allow_abbrev=False)
 
     p = add("gen-data", "generate a synthetic bimodal dataset")
     p.add_argument("--n", type=int, default=200, help="number of examples")
@@ -510,29 +483,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=500, help="total update steps")
     p.add_argument("--mask-rate", type=float, default=0.15, help="masking probability")
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
-    p.add_argument("--require-pretrained", action="store_true",
-                   help="fail instead of starting fresh")
     p.add_argument("--checkpoint-interval", type=_int_at_least(0), default=0,
                    help="write the checkpoint every N steps (0: only at the end)")
     _add_common(p)
-    _add_arch(p)
     _add_train(p)
     p.set_defaults(func=cmd_pretrain)
 
     p = add("finetune", "train a fusion model on a labeled dataset")
-    _add_inputs(p, "dataset", "vocab", "codebook")
+    _add_fusion_run(p)
     p.add_argument("--fusion", choices=FUSION_KINDS, default="shallow",
                    help="fusion mechanism")
     p.add_argument("--freeze", choices=FREEZE_CHOICES, default="none",
                    help="encoders to exclude from training")
-    p.add_argument("--epochs", type=_int_at_least(1), default=10, help="training epochs")
-    p.add_argument("--coattn-heads", type=int, default=4, help="co-attention heads")
     p.add_argument("--speech-checkpoint", default=None,
                    help="pretrained speech encoder checkpoint")
-    p.add_argument("--require-pretrained", action="store_true",
-                   help="fail unless a pretrained speech checkpoint is supplied")
     _add_common(p)
-    _add_arch(p)
     _add_train(p)
     p.set_defaults(func=cmd_finetune)
 
@@ -544,25 +509,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = add("ablate", "run the fusion/freeze ablation grid")
-    _add_inputs(p, "dataset", "vocab", "codebook")
-    p.add_argument("--epochs", type=_int_at_least(1), default=10,
-                   help="training epochs per cell")
+    _add_fusion_run(p)
     p.add_argument("--reps", type=_int_at_least(1), default=3, help="repetitions per cell")
-    p.add_argument("--coattn-heads", type=int, default=4, help="co-attention heads")
     _add_common(p)
-    _add_arch(p)
     _add_train(p)
     p.set_defaults(func=cmd_ablate)
 
     return parser
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line, reading its --config file as flags.
+
+    Each ``key = value`` line becomes the token ``--key=value``, placed before
+    argv's own flags: config values get the flags' types and checks, and
+    explicit flags win. A line the parser rejects is an InputError naming
+    ``path:lineno``.
+    """
     parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
     try:
-        args = parser.parse_args(argv)
-        _apply_config_file(args, argv)
+        lines = Path(args.config).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as err:
+        raise InputError(f"config file {args.config}: {err}") from None
+    tokens = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        token = f"--{key.replace('_', '-')}={value}"
+        try:
+            if not eq:
+                raise UsageError("expected 'key = value'")
+            parser.parse_args([argv[0], token, *argv[1:]])
+        except UsageError as err:
+            raise InputError(f"{args.config}:{lineno}: {err}") from None
+        tokens.append(token)
+    return parser.parse_args([argv[0], *tokens, *argv[1:]])
+
+
+def main(argv=None) -> int:
+    try:
+        args = parse_args(list(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -233,7 +233,7 @@ def mask_corrupt(
     seed accepts an int or an existing numpy Generator.
     """
     if not (0.0 < mask_rate <= 1.0):
-        raise InputError(f"mask_rate must be in (0, 1], got {mask_rate}")
+        raise UsageError(f"mask_rate must be in (0, 1], got {mask_rate}")
     if len(seq.body) < 1:
         raise InputError("cannot corrupt a CLS-only sequence")
     eligible = [i for i in range(1, len(seq)) if seq.ids[i] >= N_SPECIALS]

@@ -57,6 +57,8 @@ class TrainConfig:
             raise ConfigError(f"peak_lr must be finite and non-negative, got {self.peak_lr}")
         if self.grad_clip is not None and not 0.0 < self.grad_clip < math.inf:
             raise ConfigError(f"grad_clip must be finite and positive, got {self.grad_clip}")
+        if self.warmup_steps is not None and self.warmup_steps < 0:
+            raise ConfigError(f"warmup_steps must be non-negative, got {self.warmup_steps}")
         if self.total_steps is not None:
             w = self.warmup_steps if self.warmup_steps is not None else 0
             if w >= self.total_steps:
@@ -369,7 +371,6 @@ def run_finetune(
     cfg: TrainConfig,
     epochs: int,
     label_mode: str = "categorical",
-    log_fn=None,
 ) -> FinetuneResult:
     """Train the fusion model; keep the parameters of the best validation epoch.
 
@@ -437,8 +438,6 @@ def run_finetune(
                 best_metric = value
                 best_epoch = epoch
                 best_arrays = {n: p.data.copy() for n, p in trainable.items()}
-        if log_fn is not None:
-            log_fn(epoch, history[-1]["value"])
 
     if best_arrays is not None:
         for name, arr in best_arrays.items():

@@ -1,14 +1,23 @@
 """CLI harness: determinism, atomicity, exit codes, manifests."""
 
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
-from emofuse.checkpoint import MAGIC, load_checkpoint, load_encoder_checkpoint, save_checkpoint
-from emofuse.cli import main
+from emofuse.checkpoint import (
+    MAGIC,
+    load_checkpoint,
+    load_encoder_checkpoint,
+    save_checkpoint,
+    save_fusion_checkpoint,
+)
+from emofuse.cli import build_parser, main, parse_args
+from emofuse.encoder import EncoderConfig
 from emofuse.fileio import sha256_file
+from emofuse.fusion import FusionModel
 
 TINY_ARCH = [
     "--speech-layers", "1", "--speech-dim", "16", "--speech-heads", "2",
@@ -150,13 +159,6 @@ class TestPretrain:
         assert code == 2
         assert str(plain) in capsys.readouterr().err
 
-    def test_require_pretrained_without_resume(self, workspace, tmp_path):
-        code = main(["pretrain", "--dataset", f"{workspace}/dataset.jsonl",
-                     "--codebook", f"{workspace}/codebook.bin",
-                     "--out-dir", str(tmp_path), "--steps", "2",
-                     "--require-pretrained", *TINY_ARCH])
-        assert code == 1
-
 
 class TestFinetune:
     def run_finetune(self, workspace, out, extra):
@@ -183,10 +185,8 @@ class TestFinetune:
             assert np.array_equal(model_blocks[f"speech.{name}"], arr), name
 
     def test_missing_pretrained_checkpoint_errors(self, workspace, tmp_path):
-        assert self.run_finetune(workspace, tmp_path, ["--require-pretrained"]) == 1
         assert self.run_finetune(
-            workspace, tmp_path,
-            ["--require-pretrained", "--speech-checkpoint", str(tmp_path / "nope.ckpt")]) == 2
+            workspace, tmp_path, ["--speech-checkpoint", str(tmp_path / "nope.ckpt")]) == 2
 
     def test_pretrained_config_mismatch_is_input_error(self, workspace, tmp_path, capsys):
         pre = tmp_path / "pre"
@@ -357,7 +357,8 @@ class TestAblate:
 
 
 # Out-of-range numbers: (command, flag, value, text the message must contain).
-# Each is a usage error, exit 1, before any training.
+# Each is a usage error, exit 1, before any training. The message names the
+# flag when the parser rejects the value, else the checked field.
 BAD_NUMBERS = [
     ("ablate", "--reps", "0", "--reps"),
     ("ablate", "--epochs", "0", "--epochs"),
@@ -367,11 +368,13 @@ BAD_NUMBERS = [
       for command in ("finetune", "pretrain") for value in ("-1", "0", "nan", "inf")],
     *[(command, "--lr", value, "peak_lr")
       for command in ("finetune", "pretrain") for value in ("nan", "inf")],
+    *[(command, "--warmup-steps", "-1", "warmup_steps") for command in ("finetune", "pretrain")],
+    *[("pretrain", "--mask-rate", value, "mask_rate") for value in ("0", "nan", "1.5")],
 ]
 
 
-@pytest.mark.parametrize("command, flag, value, names", BAD_NUMBERS)
-def test_out_of_range_number_exits_1(workspace, tmp_path, capsys, command, flag, value, names):
+def _training_argv(workspace, command, out):
+    """A quick run of a training command on the shared workspace."""
     inputs = ["--dataset", f"{workspace}/dataset.jsonl", "--codebook", f"{workspace}/codebook.bin"]
     if command == "pretrain":
         inputs += ["--steps", "2", "--batch-size", "2"]
@@ -379,12 +382,127 @@ def test_out_of_range_number_exits_1(workspace, tmp_path, capsys, command, flag,
         inputs += ["--vocab", f"{workspace}/vocab.txt", "--epochs", "1", "--batch-size", "8"]
     if command == "ablate":
         inputs += ["--reps", "1"]
+    return [command, *inputs, "--out-dir", str(out), *TINY_ARCH]
+
+
+@pytest.mark.parametrize("command, flag, value, names", BAD_NUMBERS)
+def test_out_of_range_number_exits_1(workspace, tmp_path, capsys, command, flag, value, names):
     capsys.readouterr()
-    code = main([command, *inputs, "--out-dir", str(tmp_path), *TINY_ARCH, flag, value])
+    code = main([*_training_argv(workspace, command, tmp_path), flag, value])
     err = capsys.readouterr().err
     assert code == 1
     assert names in err and "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+# Bad config-file lines: (command, line, exit code, text the message must
+# contain). A line the parser rejects is an input error naming path:line; a
+# value it accepts but a range check rejects is a usage error naming the field.
+BAD_CONFIG_LINES = [
+    *[(command, f"{flag[2:].replace('-', '_')} = {value}", 2 if names == flag else 1, names)
+      for command, flag, value, names in BAD_NUMBERS],
+    ("finetune", "epochs = abc", 2, "invalid int value"),
+    ("finetune", "batch_size = 2.5", 2, "invalid int value"),
+    ("finetune", "freeze = 3", 2, "invalid choice"),
+    ("finetune", "seed = [1,2]", 2, "invalid int value"),
+    ("finetune", 'lr = "1e-3"', 2, "invalid float value"),
+    ("finetune", "func = 1", 2, "unrecognized arguments"),
+    ("finetune", "epochs 2", 2, "expected 'key = value'"),
+]
+
+
+@pytest.mark.parametrize("command, line, code, names", BAD_CONFIG_LINES)
+def test_bad_config_line(workspace, tmp_path, capsys, command, line, code, names):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# settings\nseed = 0\n{line}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert main([*_training_argv(workspace, command, out), "--config", str(cfg)]) == code
+    err = capsys.readouterr().err
+    assert code == 1 or f"{cfg}:3:" in err
+    assert names in err and "Traceback" not in err
+    assert not any(out.iterdir())
+
+
+def test_unreadable_config_file_exits_2(workspace, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"lr = \xff\n")
+    capsys.readouterr()
+    code = main([*_training_argv(workspace, "finetune", tmp_path / "out"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(cfg) in err and "Traceback" not in err
+
+
+def _other_value(action) -> str:
+    """A value for ``action`` that its parser accepts and that is not its default."""
+    if action.choices:
+        return next(c for c in action.choices if c != action.default)
+    if action.type is float:
+        return "-0.25"  # a leading minus must not read as an option
+    if action.type is None:
+        return "some/path"
+    return str((action.default or 0) + 3)
+
+
+def _subparsers():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [pytest.param(name, sub, id=name) for name, sub in commands.choices.items()]
+
+
+@pytest.mark.parametrize("command, sub", _subparsers())
+def test_config_line_parses_like_flag(tmp_path, command, sub):
+    sub.format_help()  # a stray % in a help string fails here, not at a user's --help
+    options = [a for a in sub._actions if a.dest not in ("help", "config")]
+    required = [tok for a in options if a.required for tok in (a.option_strings[0], "given")]
+    cfg = tmp_path / "run.cfg"
+    for action in options:
+        assert action.nargs is None, action.dest  # every flag takes exactly one value
+        value = _other_value(action)
+        argv = [command, *required]
+        if action.required:
+            argv[argv.index(action.option_strings[0]) + 1] = value
+        cfg.write_text(f"{action.dest} = {value}\n")
+        by_flag = vars(parse_args([*argv, action.option_strings[0], value]))
+        by_config = vars(parse_args([*argv, "--config", str(cfg)]))
+        assert by_flag.pop("config") is None and by_config.pop("config") == str(cfg)
+        assert by_config == by_flag, action.dest
+        assert by_flag[action.dest] != action.default, action.dest
+
+
+INPUT_CHECKS = ["finetune-without-train", "ablate-score-mode", "ablate-without-valid",
+                "evaluate-label-mode-mismatch"]
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_dataset_unfit_for_command_exits_2_naming_files(workspace, tmp_path, capsys, case):
+    rows = (workspace / "dataset.jsonl").read_text().splitlines()
+    data = tmp_path / "data.jsonl"
+    if case in ("ablate-score-mode", "evaluate-label-mode-mismatch"):
+        assert main(["gen-data", "--out-dir", str(tmp_path), "--n", "40", "--mode", "score",
+                     "--name", data.name]) == 0
+    else:
+        drop = "train" if case == "finetune-without-train" else "valid"
+        data.write_text("".join(r + "\n" for r in rows if json.loads(r)["split"] != drop))
+    names = [str(data)]
+    if case.startswith("evaluate"):
+        model = tmp_path / "model.ckpt"
+        cfg = EncoderConfig(n_layers=1, d_model=8, n_heads=2, d_ff=16, vocab_size=70, max_len=16)
+        save_fusion_checkpoint(model, FusionModel.init("text-only", None, cfg, 8, 2, None),
+                               label_mode="categorical")
+        argv = ["evaluate", "--model", str(model), "--dataset", str(data),
+                "--vocab", f"{workspace}/vocab.txt", "--codebook", f"{workspace}/codebook.bin",
+                "--out-dir", str(tmp_path / "out")]
+        names.append(str(model))
+    else:
+        argv = _training_argv(workspace, case.split("-")[0], tmp_path / "out")
+        argv[argv.index("--dataset") + 1] = str(data)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names) and "Traceback" not in err
 
 
 class TestExitCodesAndHelp:
