@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -33,42 +34,50 @@ MAGIC = b"EMFCKPT1"
 
 
 def save_checkpoint(path: str | Path, meta: dict, blocks: dict[str, np.ndarray]) -> None:
+    """Write the header, then each block straight from its own array.
+
+    A block that is already a C-contiguous little-endian float64 array, as
+    every parameter and optimizer moment is, is written without a copy.
+    """
     entries = [{"name": name, "shape": list(arr.shape)} for name, arr in blocks.items()]
     header = json.dumps({"meta": meta, "blocks": entries}, sort_keys=True).encode("utf-8")
-    payload = bytearray(MAGIC)
-    payload += struct.pack("<I", len(header))
-    payload += header
-    for arr in blocks.values():
-        payload += np.ascontiguousarray(arr, dtype="<f8").tobytes(order="C")
-    atomic_write_bytes(path, bytes(payload))
+    atomic_write_bytes(path, [MAGIC, struct.pack("<I", len(header)), header,
+                              *(np.ascontiguousarray(arr, dtype="<f8") for arr in blocks.values())])
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    raw = Path(path).read_bytes()
-    if raw[:8] != MAGIC:
-        raise InputError(f"{path}: not a checkpoint file")
-    offset = 12 + int.from_bytes(raw[8:12], "little")
-    if len(raw) < 12 or offset > len(raw):
-        raise InputError(f"{path}: truncated checkpoint header")
-    try:
-        header = json.loads(raw[12:offset].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise InputError(f"{path}: unreadable checkpoint header ({err})") from None
-    if (not isinstance(header, dict) or not isinstance(header.get("meta"), dict)
-            or not isinstance(header.get("blocks"), list)):
-        raise InputError(f"{path}: checkpoint header needs a 'meta' object and a 'blocks' list")
-    blocks: dict[str, np.ndarray] = {}
-    for entry in header["blocks"]:
-        if not _valid_block_entry(entry) or entry["name"] in blocks:
-            raise InputError(f"{path}: malformed or repeated block entry {entry!r}")
-        shape = tuple(entry["shape"])
-        end = offset + math.prod(shape) * 8
-        if end > len(raw):
-            raise InputError(f"{path}: truncated checkpoint at block {entry['name']!r}")
-        blocks[entry["name"]] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy()
-        offset = end
-    if offset != len(raw):
-        raise InputError(f"{path}: {len(raw) - offset} trailing bytes after last block")
+    """Read the header, then each block straight into the array it is returned in."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if head[:8] != MAGIC:
+            raise InputError(f"{path}: not a checkpoint file")
+        offset = 12 + int.from_bytes(head[8:12], "little")
+        if len(head) < 12 or offset > size:
+            raise InputError(f"{path}: truncated checkpoint header")
+        try:
+            header = json.loads(fh.read(offset - 12).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise InputError(f"{path}: unreadable checkpoint header ({err})") from None
+        if (not isinstance(header, dict) or not isinstance(header.get("meta"), dict)
+                or not isinstance(header.get("blocks"), list)):
+            raise InputError(f"{path}: checkpoint header needs a 'meta' object and a 'blocks' list")
+        blocks: dict[str, np.ndarray] = {}
+        for entry in header["blocks"]:
+            if not _valid_block_entry(entry) or entry["name"] in blocks:
+                raise InputError(f"{path}: malformed or repeated block entry {entry!r}")
+            shape = tuple(entry["shape"])
+            end = offset + math.prod(shape) * 8
+            if end > size:
+                raise InputError(f"{path}: truncated checkpoint at block {entry['name']!r}")
+            arr = np.empty(shape, dtype="<f8")
+            # Read through a flat byte view: memoryview cannot cast a zero-size block.
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                raise InputError(f"{path}: truncated checkpoint at block {entry['name']!r}")
+            blocks[entry["name"]] = arr
+            offset = end
+    if offset != size:
+        raise InputError(f"{path}: {size - offset} trailing bytes after last block")
     return header["meta"], blocks
 
 

@@ -62,6 +62,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _NothingRequired(_Parser):
+    """A parser that requires nothing and whose ``--help`` only parses.
+
+    It finds ``--config`` and checks config lines before argv and the file
+    together supply every required flag; the full parse that follows
+    enforces them and prints help.
+    """
+
+    def add_argument(self, *args, **kwargs):
+        kwargs.pop("required", None)
+        if kwargs.get("action") == "help":
+            kwargs["action"] = "store_true"
+        return super().add_argument(*args, **kwargs)
+
+    def add_subparsers(self, **kwargs):
+        kwargs.pop("required", None)
+        return super().add_subparsers(**kwargs)
+
+
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends a flag's default to its help unless the help already states one."""
+
+    def _get_help_string(self, action):
+        if "(default:" in (action.help or ""):
+            return action.help
+        return super()._get_help_string(action)
+
+
 def _int_at_least(low: int):
     """An argparse type: an integer no smaller than ``low``."""
     def parse(text: str) -> int:
@@ -455,12 +483,11 @@ def _add_inputs(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument(f"--{name}", required=True, help=_INPUT_HELP[name])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    defaults = argparse.ArgumentDefaultsHelpFormatter
-    parser = _Parser(prog="emofuse", allow_abbrev=False, description=__doc__,
-                     formatter_class=defaults)
+def build_parser(parser_class: type[_Parser] = _Parser) -> argparse.ArgumentParser:
+    parser = parser_class(prog="emofuse", allow_abbrev=False, description=__doc__,
+                          formatter_class=_HelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    add = lambda name, text: sub.add_parser(name, help=text, formatter_class=defaults,
+    add = lambda name, text: sub.add_parser(name, help=text, formatter_class=_HelpFormatter,
                                             allow_abbrev=False)
 
     p = add("gen-data", "generate a synthetic bimodal dataset")
@@ -523,17 +550,18 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
     Each ``key = value`` line becomes the token ``--key=value``, placed before
     argv's own flags: config values get the flags' types and checks, and
-    explicit flags win. A line the parser rejects is an InputError naming
-    ``path:lineno``.
+    explicit flags win. A required flag may come from either; one missing
+    from both is a usage error. A line the parser rejects, or one naming
+    another config file, is an InputError naming ``path:lineno``.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config is None:
-        return args
+    lenient = build_parser(_NothingRequired)
+    config = getattr(lenient.parse_args(argv), "config", None)  # None without a command
+    if config is None:
+        return build_parser().parse_args(argv)
     try:
-        lines = Path(args.config).read_text(encoding="utf-8").splitlines()
+        lines = Path(config).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as err:
-        raise InputError(f"config file {args.config}: {err}") from None
+        raise InputError(f"config file {config}: {err}") from None
     tokens = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -544,11 +572,13 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         try:
             if not eq:
                 raise UsageError("expected 'key = value'")
-            parser.parse_args([argv[0], token, *argv[1:]])
+            if key == "config":
+                raise UsageError("a config file cannot name another config file")
+            lenient.parse_args([argv[0], token, *argv[1:]])
         except UsageError as err:
-            raise InputError(f"{args.config}:{lineno}: {err}") from None
+            raise InputError(f"{config}:{lineno}: {err}") from None
         tokens.append(token)
-    return parser.parse_args([argv[0], *tokens, *argv[1:]])
+    return build_parser().parse_args([argv[0], *tokens, *argv[1:]])
 
 
 def main(argv=None) -> int:

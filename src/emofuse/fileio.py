@@ -9,13 +9,17 @@ from __future__ import annotations
 import hashlib
 import os
 import secrets
+from collections.abc import Sequence
 from pathlib import Path
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write bytes to a temp file in the target directory, then rename.
+def atomic_write_bytes(path: str | Path, buffers: Sequence) -> None:
+    """Write ``buffers`` in order to a temp file in the target directory, then rename.
 
-    The file gets mode 0666 less the umask, as one made by ``open()`` does.
+    Each buffer is any C-contiguous bytes-like object, a NumPy array
+    included, and is written from its own memory: nothing is joined or
+    copied first. The file gets mode 0666 less the umask, as one made by
+    ``open()`` does.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -23,7 +27,8 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for buf in buffers:
+                fh.write(buf)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -32,7 +37,7 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, [text.encode("utf-8")])
 
 
 def sha256_file(path: str | Path) -> str:

@@ -118,8 +118,8 @@ class Codebook:
     def save(self, path: str | Path) -> None:
         """Binary layout: magic, version u32, K u32, dim u32, row-major float64 LE centroids."""
         header = struct.pack("<III", int(self.version), self.k, self.dim)
-        body = self.centroids.astype("<f8").tobytes(order="C")
-        atomic_write_bytes(path, _CODEBOOK_MAGIC + header + body)
+        body = np.ascontiguousarray(self.centroids, dtype="<f8")
+        atomic_write_bytes(path, [_CODEBOOK_MAGIC, header, body])
 
     @classmethod
     def load(cls, path: str | Path) -> "Codebook":

@@ -147,23 +147,32 @@ def adam_step(
 
 
 def _clipped(grads: dict[str, np.ndarray], clip: float | None) -> dict[str, np.ndarray]:
+    """Scale ``grads`` in place so their global norm is at most ``clip``."""
     if clip is None:
         return grads
     total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total <= clip:
-        return grads
-    factor = clip / total
-    return {n: g * factor for n, g in grads.items()}
+    if total > clip:
+        factor = clip / total
+        for g in grads.values():
+            g *= factor
+    return grads
 
 
 def collect_gradients(params: dict[str, T.Tensor], batch_size: int) -> dict[str, np.ndarray]:
-    """Accumulated gradients divided once by the batch size."""
+    """Accumulated gradients divided once by the batch size, in place.
+
+    The returned arrays are the parameters' own ``grad`` arrays. Backward
+    gives each leaf a fresh array per accumulation (``grad + g``), so
+    nothing else refers to them and dividing in place is safe; the next
+    ``zero_grads`` drops them.
+    """
     out = {}
     for name, p in params.items():
         if p.grad is None:
             out[name] = np.zeros_like(p.data)
         else:
-            out[name] = p.grad / batch_size
+            p.grad /= batch_size
+            out[name] = p.grad
     return out
 
 
@@ -408,7 +417,8 @@ def run_finetune(
     history: list[dict] = []
     best_metric: float | None = None
     best_epoch = 0
-    best_arrays: dict[str, np.ndarray] | None = None
+    # One snapshot of the best epoch's parameters, refreshed in place.
+    best_arrays = {n: np.empty_like(p.data) for n, p in trainable.items()} if valid else {}
     step = 0
 
     for epoch in range(1, epochs + 1):
@@ -437,10 +447,10 @@ def run_finetune(
             if best_metric is None or better(value, best_metric):
                 best_metric = value
                 best_epoch = epoch
-                best_arrays = {n: p.data.copy() for n, p in trainable.items()}
+                for name, p in trainable.items():
+                    np.copyto(best_arrays[name], p.data)
 
-    if best_arrays is not None:
-        for name, arr in best_arrays.items():
-            trainable[name].data = arr
+    for name, arr in best_arrays.items():
+        trainable[name].data = arr
     return FinetuneResult(model=model, history=history, best_epoch=best_epoch,
                           best_metric=best_metric or 0.0, optimizer=opt)

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,14 +49,16 @@ MALFORMED_HEADERS = {
 
 class TestRawContainer:
     def test_round_trip(self, tmp_path, rng):
-        blocks = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((2,))}
+        blocks = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((2,)),
+                  "empty": np.zeros((0,)), "empty2d": np.zeros((3, 0))}
         meta = {"kind": "test", "note": 7}
         path = tmp_path / "x.ckpt"
         save_checkpoint(path, meta, blocks)
         meta2, blocks2 = load_checkpoint(path)
         assert meta2 == meta
-        assert set(blocks2) == {"a", "b"}
+        assert set(blocks2) == set(blocks)
         for k in blocks:
+            assert blocks2[k].shape == blocks[k].shape
             assert np.array_equal(blocks[k], blocks2[k])
 
     def test_save_load_save_is_bitwise_identity(self, tmp_path, rng):
@@ -86,6 +89,25 @@ class TestRawContainer:
         with pytest.raises(InputError) as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
+
+    def test_blocks_stream_to_and_from_disk(self, tmp_path, rng):
+        """Saving copies no block; loading allocates each block once, in its returned array."""
+        mib = 2**20
+        blocks = {f"w{i}": rng.standard_normal((512, 1024)) for i in range(4)}  # 16 MiB
+        path = tmp_path / "big.ckpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, {"kind": "t"}, blocks)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _, loaded = load_checkpoint(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert save_peak < 1 * mib
+        assert load_peak <= 17 * mib
+        assert all(np.array_equal(blocks[k], loaded[k]) for k in blocks)
 
     def test_trailing_garbage_detected(self, tmp_path, rng):
         path = tmp_path / "x.ckpt"

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -408,6 +409,7 @@ BAD_CONFIG_LINES = [
     ("finetune", 'lr = "1e-3"', 2, "invalid float value"),
     ("finetune", "func = 1", 2, "unrecognized arguments"),
     ("finetune", "epochs 2", 2, "expected 'key = value'"),
+    ("finetune", "config = other.cfg", 2, "cannot name another config file"),
 ]
 
 
@@ -423,6 +425,23 @@ def test_bad_config_line(workspace, tmp_path, capsys, command, line, code, names
     assert code == 1 or f"{cfg}:3:" in err
     assert names in err and "Traceback" not in err
     assert not any(out.iterdir())
+
+
+def test_required_flags_from_config_file(workspace, tmp_path, capsys):
+    """A required flag may come from argv or the config file; missing from both is exit 1."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset = {workspace}/dataset.jsonl\nvocab_size = 64\n"
+                   "codebook_size = 12\nseed = 3\n")
+    out = tmp_path / "out"
+    assert main(["prepare", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    for name in ("vocab.txt", "codebook.bin"):  # as the workspace's flags made them
+        assert (out / name).read_bytes() == (workspace / name).read_bytes()
+    cfg.write_text("vocab_size = 64\n")
+    capsys.readouterr()
+    assert main(["prepare", "--config", str(cfg), "--out-dir", str(tmp_path / "none")]) == 1
+    err = capsys.readouterr().err
+    assert "required: --dataset" in err and "Traceback" not in err
+    assert not (tmp_path / "none").exists()
 
 
 def test_unreadable_config_file_exits_2(workspace, tmp_path, capsys):
@@ -454,7 +473,9 @@ def _subparsers():
 
 @pytest.mark.parametrize("command, sub", _subparsers())
 def test_config_line_parses_like_flag(tmp_path, command, sub):
-    sub.format_help()  # a stray % in a help string fails here, not at a user's --help
+    # A stray % in a help string fails here, not at a user's --help; a help
+    # string that states its default gets no second "(default: ...)".
+    assert not re.search(r"\(default: [^)]*\) \(default:", " ".join(sub.format_help().split()))
     options = [a for a in sub._actions if a.dest not in ("help", "config")]
     required = [tok for a in options if a.required for tok in (a.option_strings[0], "given")]
     cfg = tmp_path / "run.cfg"
