@@ -4,7 +4,7 @@ co-attention."""
 
 from .encoder import EncoderConfig, EncoderOutput, EncoderState, forward, mask_corrupt, masked_lm_loss, param_count
 from .errors import ConfigError, EmofuseError, InputError, NumericError, ShapeError, UsageError
-from .fusion import CoAttentionBlock, FusionModel, FusionOutput, LinearHead, co_attend, co_attention_fuse, shallow_fuse, unimodal_head
+from .fusion import CoAttentionBlock, FusionModel, FusionOutput, LinearHead, co_attend, fuse
 from .speech import Codebook, FrameFeaturizerConfig, discretize, featurize, train_codebook
 from .tensor import Tensor, backward
 from .text import Vocabulary, build_vocab, decode, encode

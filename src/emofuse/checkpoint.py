@@ -70,7 +70,10 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             end = offset + math.prod(shape) * 8
             if end > size:
                 raise InputError(f"{path}: truncated checkpoint at block {entry['name']!r}")
-            arr = np.empty(shape, dtype="<f8")
+            try:
+                arr = np.empty(shape, dtype="<f8")
+            except ValueError as err:  # a zero-size shape past NumPy's dimension limits
+                raise InputError(f"{path}: block {entry['name']!r}: {err}") from None
             # Read through a flat byte view: memoryview cannot cast a zero-size block.
             if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
                 raise InputError(f"{path}: truncated checkpoint at block {entry['name']!r}")

@@ -43,6 +43,7 @@ from .fusion import FUSION_KINDS, FusionModel
 from .metrics import MetricReport
 from .speech import Codebook, discretize, train_codebook
 from .text import Vocabulary, build_vocab
+from .tokens import N_SPECIALS
 from .training import AdamState, TrainConfig, evaluate_model, run_finetune, run_pretraining
 
 FREEZE_CHOICES = ("none", "speech", "text", "both")
@@ -186,6 +187,8 @@ def _train_examples(dataset, path):
 
 
 def cmd_gen_data(args) -> int:
+    if args.name in ("", "..") or Path(args.name).name != args.name:
+        raise UsageError(f"--name must be a bare file name, got {args.name!r}")
     out = _out_dir(args)
     manifest = Manifest("gen-data", args)
     dataset = generate_synthetic(args.n, seed=args.seed, mode=args.mode)
@@ -281,12 +284,14 @@ def _load_pretrained_speech(path, model: FusionModel, manifest: Manifest) -> Non
     model.speech.params = state.params
 
 
-def _check_freeze(fusion: str, freeze: str) -> tuple[bool, bool]:
-    if fusion == "speech-only" and freeze in ("text", "both"):
-        raise UsageError(f"--freeze {freeze} references the text encoder, unused by {fusion}")
-    if fusion == "text-only" and freeze in ("speech", "both"):
-        raise UsageError(f"--freeze {freeze} references the speech encoder, unused by {fusion}")
-    return freeze in ("speech", "both"), freeze in ("text", "both")
+def _check_freeze(fusion: str, freeze: str) -> dict[str, bool]:
+    """TrainConfig's freeze flags; each frozen encoder must be one ``fusion`` reads."""
+    frozen = [modality for modality in ("speech", "text") if freeze in (modality, "both")]
+    for modality in frozen:
+        if modality not in FUSION_KINDS[fusion]:
+            raise UsageError(f"--freeze {freeze} references the {modality} encoder, "
+                             f"unused by {fusion}")
+    return {"freeze_speech": "speech" in frozen, "freeze_text": "text" in frozen}
 
 
 def _load_run_inputs(args, command: str):
@@ -313,13 +318,13 @@ def _train_one(args, manifest, splits, speech_cfg, text_cfg, fusion, freeze, see
     Returns the model, the fine-tuning result and the test-split report (None
     without a test split).
     """
-    freeze_speech, freeze_text = _check_freeze(fusion, freeze)
+    freeze_flags = _check_freeze(fusion, freeze)
     n_outputs = 2 * len(CLASS_NAMES) if args.label_mode == "categorical" else 1
     model = FusionModel.init(fusion, speech_cfg, text_cfg, n_outputs, args.coattn_heads,
                              np.random.default_rng(seed), fusion_dropout=args.dropout)
-    if speech_checkpoint and model.needs_speech:
+    if speech_checkpoint and model.speech is not None:
         _load_pretrained_speech(speech_checkpoint, model, manifest)
-    cfg = _train_config(args, seed=seed, freeze_speech=freeze_speech, freeze_text=freeze_text)
+    cfg = _train_config(args, seed=seed, **freeze_flags)
     result = run_finetune(splits["train"], splits.get("valid", []), model, cfg,
                           epochs=args.epochs, label_mode=args.label_mode)
     report = evaluate_model(model, splits["test"], args.label_mode, class_names=CLASS_NAMES) \
@@ -366,10 +371,10 @@ def cmd_evaluate(args) -> int:
             f"model {args.model} ({meta['label_mode']!r})")
     vocab = Vocabulary.load(args.vocab)
     codebook = Codebook.load(args.codebook)
-    speech_max = model.speech.cfg.max_len if model.speech else 8
-    text_max = model.text.cfg.max_len if model.text else 8
+    max_len = {modality: state.cfg.max_len for modality, state in model.encoders().items()}
     examples = tokenize_examples(dataset.subset(args.split), codebook, vocab,
-                                 speech_max_len=speech_max, text_max_len=text_max)
+                                 speech_max_len=max_len.get("speech", 8),
+                                 text_max_len=max_len.get("text", 8))
     report = evaluate_model(model, examples, meta["label_mode"], class_names=CLASS_NAMES)
     _print_report(report, f"metrics on split {args.split!r}")
     metrics_path = out / "eval_metrics.csv"
@@ -424,7 +429,8 @@ def cmd_ablate(args) -> int:
     observations = {
         "finetuned_ge_frozen_shallow": mean["shallow-ft"] >= mean["shallow-frozen"],
         "coattn_beats_shallow_when_frozen": mean["coattn-frozen"] > mean["shallow-frozen"],
-        "bimodal_beats_unimodal": mean["shallow-ft"] > max(mean["speech-only"], mean["text-only"]),
+        "bimodal_beats_unimodal": mean["shallow-ft"] > max(
+            mean[cell] for cell, fusion, _ in ABLATION_CELLS if len(FUSION_KINDS[fusion]) == 1),
     }
     for name, value in observations.items():
         print(f"observation {name}: {value}")
@@ -500,8 +506,10 @@ def build_parser(parser_class: type[_Parser] = _Parser) -> argparse.ArgumentPars
 
     p = add("prepare", "build the vocabulary and speech codebook")
     _add_inputs(p, "dataset")
-    p.add_argument("--vocab-size", type=int, default=2000, help="max vocabulary size")
-    p.add_argument("--codebook-size", type=int, default=256, help="codebook entries K")
+    p.add_argument("--vocab-size", type=_int_at_least(N_SPECIALS + 1), default=2000,
+                   help="max vocabulary size")
+    p.add_argument("--codebook-size", type=_int_at_least(1), default=256,
+                   help="codebook entries K")
     _add_common(p)
     p.set_defaults(func=cmd_prepare)
 

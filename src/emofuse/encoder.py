@@ -130,11 +130,6 @@ class EncoderState:
         """Fresh state from ``init_params``; all zeros with ``rng=None``."""
         return cls(cfg, init_params(parameter_shapes(cfg), rng))
 
-    @classmethod
-    def zeros(cls, cfg: EncoderConfig) -> "EncoderState":
-        """All-zero state (gains included); for shape and counting checks."""
-        return cls.init(cfg, None)
-
     def actual_param_count(self) -> int:
         return sum(p.size for p in self.params.values())
 

@@ -1,12 +1,17 @@
-"""Fusing the two encoders: shallow CLS concatenation and co-attention.
+"""Fusing the encoders: one table of fusion kinds and one ``fuse``.
 
-Shallow fusion concatenates the two CLS vectors (speech first) and applies a
-single linear head. Co-attentional fusion first lets each modality's CLS
-attend, as a single multi-head query, over the other modality's full hidden
-sequence; the attended vector is projected and added residually onto the
-original CLS, and the two modified CLS vectors then go through the same kind
-of linear head. With zero-initialized attention parameters the residual path
-makes co-attentional fusion collapse exactly onto shallow fusion.
+``FUSION_KINDS`` maps each kind to the modalities whose encoders it reads:
+"shallow" and "coattn" read both, each unimodal kind its own.
+``FusionModel`` is built from that table, and every kind goes through
+``fuse``: it takes each encoder output's CLS vector (speech first), lets
+them co-attend when the kind has a co-attention block, concatenates them
+(a single CLS goes as it is) and applies one linear head.
+
+In co-attention each modality's CLS attends, as a single multi-head query,
+over the other modality's full hidden sequence; the attended vector is
+projected and added residually onto the original CLS. With zero-initialized
+attention parameters the residual path makes co-attentional fusion collapse
+exactly onto shallow fusion.
 
 Internally each direction projects the other modality's sequence into the
 query modality's dimension, so per-direction parameter counts are
@@ -23,7 +28,9 @@ from . import tensor as T
 from .encoder import EncoderConfig, EncoderOutput, EncoderState, init_params, multi_head_attention
 from .errors import ConfigError, InputError
 
-FUSION_KINDS = ("shallow", "coattn", "speech-only", "text-only")
+# Each fusion kind and the modalities whose encoders it reads, speech first.
+FUSION_KINDS = {"shallow": ("speech", "text"), "coattn": ("speech", "text"),
+                "speech-only": ("speech",), "text-only": ("text",)}
 
 
 class LinearHead:
@@ -39,10 +46,6 @@ class LinearHead:
     def init(cls, in_dim: int, n_outputs: int, rng: np.random.Generator | None) -> "LinearHead":
         return cls(**init_params([("w", (in_dim, n_outputs), "weight"),
                                   ("b", (1, n_outputs), "bias")], rng))
-
-    @classmethod
-    def zeros(cls, in_dim: int, n_outputs: int) -> "LinearHead":
-        return cls.init(in_dim, n_outputs, None)
 
     @property
     def in_dim(self) -> int:
@@ -111,10 +114,6 @@ class CoAttentionBlock:
              rng: np.random.Generator | None) -> "CoAttentionBlock":
         return cls(d_speech, d_text, n_heads, init_params(cls.shapes(d_speech, d_text), rng))
 
-    @classmethod
-    def zeros(cls, d_speech: int, d_text: int, n_heads: int) -> "CoAttentionBlock":
-        return cls.init(d_speech, d_text, n_heads, None)
-
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
@@ -150,64 +149,47 @@ def co_attend(
     return cls_s, cls_t, {"speech_to_text": attn_s, "text_to_speech": attn_t}
 
 
-def shallow_fuse(speech_out: EncoderOutput, text_out: EncoderOutput, head: LinearHead) -> FusionOutput:
-    """Concatenate the two CLS vectors (speech first) and apply the head."""
-    features = T.concat_cols([speech_out.cls, text_out.cls])
-    return FusionOutput(logits=head.apply(features))
+def fuse(outputs: list[EncoderOutput], head: LinearHead, block: CoAttentionBlock | None = None,
+         drop_rate: float = 0.0, train_mode: bool = False,
+         rng: np.random.Generator | None = None) -> FusionOutput:
+    """Logits from the encoder outputs, speech first: each output's CLS,
+    co-attended when there is a block, concatenated into the head. A single
+    CLS goes to the head as it is."""
+    attention = None
+    if block is not None:
+        *cls_vecs, attention = co_attend(*outputs, block, drop_rate, train_mode, rng)
+    else:
+        cls_vecs = [out.cls for out in outputs]
+    features = T.concat_cols(cls_vecs) if len(cls_vecs) > 1 else cls_vecs[0]
+    return FusionOutput(logits=head.apply(features), attention=attention)
 
 
-def co_attention_fuse(
-    speech_out: EncoderOutput,
-    text_out: EncoderOutput,
-    block: CoAttentionBlock,
-    head: LinearHead,
-    drop_rate: float = 0.0,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
-) -> FusionOutput:
-    """Co-attend, then concatenate the modified CLS vectors into the head."""
-    cls_s, cls_t, attn = co_attend(speech_out, text_out, block, drop_rate, train_mode, rng)
-    features = T.concat_cols([cls_s, cls_t])
-    return FusionOutput(logits=head.apply(features), attention=attn)
-
-
-def unimodal_head(cls_vec: T.Tensor, head: LinearHead) -> FusionOutput:
-    """Classify from a single modality's CLS vector."""
-    return FusionOutput(logits=head.apply(cls_vec))
-
-
-def _check_parts(kind: str, speech, text) -> None:
-    """``kind`` is a fusion kind, and the encoders (or their configs) it uses are given."""
+def _read_by(kind: str, speech, text) -> dict:
+    """The encoders (or their configs) that ``kind`` reads, by modality, speech first."""
     if kind not in FUSION_KINDS:
-        raise ConfigError(f"fusion kind must be one of {FUSION_KINDS}, got {kind!r}")
-    if kind != "text-only" and speech is None:
-        raise ConfigError(f"{kind} fusion needs a speech encoder")
-    if kind != "speech-only" and text is None:
-        raise ConfigError(f"{kind} fusion needs a text encoder")
-
-
-def _head_width(kind: str, speech: EncoderState | None, text: EncoderState | None) -> int:
-    """Input features of the head: the CLS widths that ``kind`` concatenates."""
-    width = speech.cfg.d_model if kind != "text-only" else 0
-    return width + (text.cfg.d_model if kind != "speech-only" else 0)
+        raise ConfigError(f"fusion kind must be one of {tuple(FUSION_KINDS)}, got {kind!r}")
+    given = {"speech": speech, "text": text}
+    for modality in FUSION_KINDS[kind]:
+        if given[modality] is None:
+            raise ConfigError(f"{kind} fusion needs a {modality} encoder")
+    return {modality: given[modality] for modality in FUSION_KINDS[kind]}
 
 
 class FusionModel:
-    """One encoder pair plus a fusion mechanism and its classification head."""
+    """The encoders a fusion kind reads, its co-attention block (``coattn``
+    only) and the classification head."""
 
-    def __init__(
-        self,
-        kind: str,
-        head: LinearHead,
-        speech: EncoderState | None = None,
-        text: EncoderState | None = None,
-        block: CoAttentionBlock | None = None,
-        fusion_dropout: float = 0.0,
-    ):
-        _check_parts(kind, speech, text)
-        if kind == "coattn" and block is None:
-            raise ConfigError("coattn fusion needs a CoAttentionBlock")
-        width = _head_width(kind, speech, text)
+    def __init__(self, kind: str, head: LinearHead, speech: EncoderState | None = None,
+                 text: EncoderState | None = None, block: CoAttentionBlock | None = None,
+                 fusion_dropout: float = 0.0):
+        encoders = _read_by(kind, speech, text)
+        for modality, state in (("speech", speech), ("text", text)):
+            if state is not None and modality not in encoders:
+                raise ConfigError(f"{kind} fusion does not read a {modality} encoder")
+        if (block is None) == (kind == "coattn"):
+            raise ConfigError("coattn fusion needs a CoAttentionBlock" if block is None
+                              else f"{kind} fusion takes no CoAttentionBlock")
+        width = sum(state.cfg.d_model for state in encoders.values())
         if head.in_dim != width:
             raise ConfigError(
                 f"{kind} fusion needs a head with {width} input features, got {head.in_dim}")
@@ -215,59 +197,41 @@ class FusionModel:
         self.head = head
         self.speech = speech
         self.text = text
-        self.block = block if kind == "coattn" else None
+        self.block = block
         self.fusion_dropout = fusion_dropout
 
     @classmethod
     def init(cls, kind: str, speech_cfg: EncoderConfig | None, text_cfg: EncoderConfig | None,
              n_outputs: int, coattn_heads: int, rng: np.random.Generator | None,
              fusion_dropout: float = 0.0) -> "FusionModel":
-        """Fresh model of ``kind``; only the encoders it uses are built.
+        """Fresh model of ``kind``; only the encoders it reads are built.
 
         Draws from ``rng`` in a fixed order: speech encoder, text encoder,
         head, co-attention block. With ``rng=None`` every parameter is zero,
         the blank that ``load_fusion_checkpoint`` fills.
         """
-        _check_parts(kind, speech_cfg, text_cfg)
-        speech = EncoderState.init(speech_cfg, rng) if kind != "text-only" else None
-        text = EncoderState.init(text_cfg, rng) if kind != "speech-only" else None
-        head = LinearHead.init(_head_width(kind, speech, text), n_outputs, rng)
+        encoders = {modality: EncoderState.init(cfg, rng)
+                    for modality, cfg in _read_by(kind, speech_cfg, text_cfg).items()}
+        width = sum(state.cfg.d_model for state in encoders.values())
+        head = LinearHead.init(width, n_outputs, rng)
         block = (CoAttentionBlock.init(speech_cfg.d_model, text_cfg.d_model, coattn_heads, rng)
                  if kind == "coattn" else None)
-        return cls(kind, head, speech, text, block, fusion_dropout)
+        return cls(kind, head, **encoders, block=block, fusion_dropout=fusion_dropout)
 
-    @property
-    def needs_speech(self) -> bool:
-        return self.kind != "text-only"
-
-    @property
-    def needs_text(self) -> bool:
-        return self.kind != "speech-only"
+    def encoders(self) -> dict[str, EncoderState]:
+        """The encoders the kind reads, by modality, speech first."""
+        return {modality: getattr(self, modality) for modality in FUSION_KINDS[self.kind]}
 
     def named_params(self) -> dict[str, T.Tensor]:
         out: dict[str, T.Tensor] = {}
-        if self.speech is not None:
-            out.update({f"speech.{n}": p for n, p in self.speech.params.items()})
-        if self.text is not None:
-            out.update({f"text.{n}": p for n, p in self.text.params.items()})
+        for modality, state in self.encoders().items():
+            out.update({f"{modality}.{n}": p for n, p in state.params.items()})
         if self.block is not None:
             out.update({f"fusion.block.{n}": p for n, p in self.block.params.items()})
         out.update({f"fusion.head.{n}": p for n, p in self.head.params().items()})
         return out
 
-    def fuse(
-        self,
-        speech_out: EncoderOutput | None,
-        text_out: EncoderOutput | None,
-        train_mode: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> FusionOutput:
-        if self.kind == "shallow":
-            return shallow_fuse(speech_out, text_out, self.head)
-        if self.kind == "coattn":
-            return co_attention_fuse(
-                speech_out, text_out, self.block, self.head,
-                self.fusion_dropout, train_mode, rng)
-        if self.kind == "speech-only":
-            return unimodal_head(speech_out.cls, self.head)
-        return unimodal_head(text_out.cls, self.head)
+    def fuse(self, *outputs: EncoderOutput, train_mode: bool = False,
+             rng: np.random.Generator | None = None) -> FusionOutput:
+        """Logits from the outputs of ``encoders()``, in that order."""
+        return fuse(list(outputs), self.head, self.block, self.fusion_dropout, train_mode, rng)

@@ -229,7 +229,9 @@ def train_codebook(
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
         raise InputError(f"frames must be a [T x dim] matrix, got shape {frames.shape}")
-    if k < 1 or len(frames) < k:
+    if k < 1:
+        raise InputError(f"codebook size K must be at least 1, got {k}")
+    if len(frames) < k:
         raise InputError(f"need at least K={k} frames, got {len(frames)}")
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(frames, k, rng)

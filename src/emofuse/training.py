@@ -322,21 +322,17 @@ class FinetuneResult:
     optimizer: AdamState | None = None
 
 
-def _model_outputs(model, ex, train_mode, rng, speech_cache, text_cache):
-    def encode(needed, seq, state, cache):
-        if not needed:
-            return None
-        if cache is not None:
-            return cache.get(seq)
-        return forward(seq, state, train_mode=train_mode, rng=rng)
-
-    return (encode(model.needs_speech, ex.speech, model.speech, speech_cache),
-            encode(model.needs_text, ex.text, model.text, text_cache))
+def _model_outputs(model, ex, train_mode, rng, caches):
+    """The outputs of ``model.encoders()`` for ``ex``, in that order; a frozen
+    encoder's come from its cache in ``caches``."""
+    return [caches[modality].get(getattr(ex, modality)) if modality in caches
+            else forward(getattr(ex, modality), state, train_mode=train_mode, rng=rng)
+            for modality, state in model.encoders().items()]
 
 
-def _example_loss(model, ex, label_mode, train_mode, rng, speech_cache, text_cache):
-    speech_out, text_out = _model_outputs(model, ex, train_mode, rng, speech_cache, text_cache)
-    fused = model.fuse(speech_out, text_out, train_mode=train_mode, rng=rng)
+def _example_loss(model, ex, label_mode, train_mode, rng, caches):
+    outputs = _model_outputs(model, ex, train_mode, rng, caches)
+    fused = model.fuse(*outputs, train_mode=train_mode, rng=rng)
     if label_mode == "categorical":
         return classification_loss(fused.logits, int(ex.target))
     return regression_loss(fused.logits, float(ex.target))
@@ -347,21 +343,19 @@ def evaluate_model(
     examples: list[TokenizedExample],
     label_mode: str,
     class_names=None,
-    speech_cache: _EncoderCache | None = None,
-    text_cache: _EncoderCache | None = None,
+    caches: dict[str, _EncoderCache] | None = None,
 ):
     """Eval-mode predictions over a split, summarized as a MetricReport.
 
-    The forwards run under ``T.no_grad()``: nothing differentiates them, so
-    they record no graph.
+    ``caches`` serves frozen encoders' outputs by modality. The forwards run
+    under ``T.no_grad()``: nothing differentiates them, so they record no graph.
     """
     if not examples:
         raise InputError("cannot evaluate on an empty example list")
     preds, golds = [], []
     for ex in examples:
         with T.no_grad():
-            speech_out, text_out = _model_outputs(model, ex, False, None, speech_cache, text_cache)
-            fused = model.fuse(speech_out, text_out, train_mode=False)
+            fused = model.fuse(*_model_outputs(model, ex, False, None, caches or {}))
         if label_mode == "categorical":
             preds.append(predict_class(fused.logits.data))
             golds.append(int(ex.target))
@@ -397,22 +391,11 @@ def run_finetune(
     cfg = cfg.resolved(total_steps=max(1, epochs * steps_per_epoch))
     rng = np.random.default_rng(cfg.seed)
 
-    speech_cache = text_cache = None
-    if model.speech is not None:
-        model.speech.set_requires_grad(not cfg.freeze_speech)
-        if cfg.freeze_speech and model.needs_speech:
-            speech_cache = _EncoderCache(model.speech)
-    if model.text is not None:
-        model.text.set_requires_grad(not cfg.freeze_text)
-        if cfg.freeze_text and model.needs_text:
-            text_cache = _EncoderCache(model.text)
-
-    all_params = model.named_params()
-    trainable = {
-        name: p for name, p in all_params.items()
-        if not (cfg.freeze_speech and name.startswith("speech."))
-        and not (cfg.freeze_text and name.startswith("text."))
-    }
+    frozen = {"speech": cfg.freeze_speech, "text": cfg.freeze_text}
+    for modality, state in model.encoders().items():
+        state.set_requires_grad(not frozen[modality])
+    caches = {m: _EncoderCache(state) for m, state in model.encoders().items() if frozen[m]}
+    trainable = {name: p for name, p in model.named_params().items() if p.requires_grad}
     opt = AdamState.fresh(trainable)
     history: list[dict] = []
     best_metric: float | None = None
@@ -427,7 +410,7 @@ def run_finetune(
         for start in range(0, len(order), cfg.batch_size):
             batch = [train[i] for i in order[start : start + cfg.batch_size]]
             batch_losses = (
-                _example_loss(model, ex, label_mode, True, rng, speech_cache, text_cache)
+                _example_loss(model, ex, label_mode, True, rng, caches)
                 for ex in batch)
             step = min(step + 1, cfg.total_steps)
             epoch_loss = _update(trainable, batch_losses, len(batch), opt, lr_at(step, cfg), cfg,
@@ -435,8 +418,7 @@ def run_finetune(
         T.zero_grads(trainable.values())
         history.append({"epoch": epoch, "split": "train", "metric": "loss",
                         "value": epoch_loss / len(train)})
-        report = evaluate_model(model, valid, label_mode,
-                                speech_cache=speech_cache, text_cache=text_cache) if valid else None
+        report = evaluate_model(model, valid, label_mode, caches=caches) if valid else None
         if report is not None:
             if label_mode == "categorical":
                 metric_name, value, better = "accuracy4", report.accuracy4, lambda a, b: a > b

@@ -37,9 +37,8 @@ from emofuse.fusion import (
     CoAttentionBlock,
     FusionModel,
     LinearHead,
-    co_attention_fuse,
     coattention_param_count,
-    shallow_fuse,
+    fuse,
     shallow_head_param_count,
 )
 from emofuse.metrics import acc7, binary_accuracy, f1_score, mae
@@ -69,10 +68,10 @@ def announce(criterion: int, message: str) -> None:
 def test_criterion_1_parameter_count_claims():
     start = time.time()
     assert shallow_head_param_count(768, 1024, 8) == 14_344
-    head = LinearHead.zeros(768 + 1024, 8)
+    head = LinearHead.init(768 + 1024, 8, None)
     assert head.param_count() == 14_344
 
-    block = CoAttentionBlock.zeros(768, 1024, n_heads=8)
+    block = CoAttentionBlock.init(768, 1024, n_heads=8, rng=None)
     enumerated = sum(p.size for p in block.params.values())
     assert enumerated == 6_429_696
     assert coattention_param_count(768, 1024) == enumerated
@@ -85,8 +84,8 @@ def test_criterion_1_parameter_count_claims():
 
 def test_criterion_2_architecture_shape_claims():
     start = time.time()
-    speech = EncoderState.zeros(SPEECH_FULL_SCALE)
-    text = EncoderState.zeros(TEXT_FULL_SCALE)
+    speech = EncoderState.init(SPEECH_FULL_SCALE, None)
+    text = EncoderState.init(TEXT_FULL_SCALE, None)
     assert (speech.cfg.n_layers, speech.cfg.d_model, speech.cfg.max_len) == (12, 768, 2048)
     assert (text.cfg.n_layers, text.cfg.d_model, text.cfg.max_len) == (24, 1024, 512)
     for state in (speech, text):
@@ -135,8 +134,8 @@ def test_criterion_3_gradient_suite():
     text_seq = TokenSequence("text", (CLS, 7, 8))
 
     def shallow_loss():
-        out = shallow_fuse(forward(speech_seq, speech_state),
-                           forward(text_seq, text_state), head)
+        out = fuse([forward(speech_seq, speech_state),
+                    forward(text_seq, text_state)], head)
         return classification_loss(out.logits, 2)
 
     leaves = list(speech_state.params.values()) + list(text_state.params.values()) \
@@ -150,8 +149,8 @@ def test_criterion_3_gradient_suite():
     co_head = LinearHead.init(32, 8, rng)
 
     def coattn_loss():
-        out = co_attention_fuse(EncoderOutput(hidden=hidden_s),
-                                EncoderOutput(hidden=hidden_t), block, co_head)
+        out = fuse([EncoderOutput(hidden=hidden_s),
+                    EncoderOutput(hidden=hidden_t)], co_head, block)
         return classification_loss(out.logits, 1)
 
     assert_grads_match(coattn_loss,
@@ -173,12 +172,12 @@ def test_criterion_4_zero_init_equivalence():
     start = time.time()
     rng = np.random.default_rng(4)
     head = LinearHead.init(128 + 160, 8, rng)
-    block = CoAttentionBlock.zeros(128, 160, n_heads=4)
+    block = CoAttentionBlock.init(128, 160, n_heads=4, rng=None)
     for _ in range(100):
         speech = EncoderOutput(hidden=T.Tensor(rng.standard_normal((int(rng.integers(1, 24)), 128))))
         text = EncoderOutput(hidden=T.Tensor(rng.standard_normal((int(rng.integers(1, 12)), 160))))
-        co = co_attention_fuse(speech, text, block, head).logits.data
-        sh = shallow_fuse(speech, text, head).logits.data
+        co = fuse([speech, text], head, block).logits.data
+        sh = fuse([speech, text], head).logits.data
         assert np.array_equal(co, sh)
     elapsed = time.time() - start
     assert elapsed < 10.0

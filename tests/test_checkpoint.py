@@ -41,6 +41,7 @@ MALFORMED_HEADERS = {
     "entry_without_name": _header({"meta": {}, "blocks": [{"shape": [1]}]}),
     "entry_shape_not_ints": _header({"meta": {}, "blocks": [{"name": "w", "shape": ["2"]}]}),
     "entry_negative_shape": _header({"meta": {}, "blocks": [{"name": "w", "shape": [-1]}]}),
+    "entry_shape_too_large": _header({"meta": {}, "blocks": [{"name": "w", "shape": [2**70, 0]}]}),
     "entry_not_object": _header({"meta": {}, "blocks": ["w"]}),
     "entry_repeated": _header({"meta": {}, "blocks": [{"name": "w", "shape": []}] * 2})
     + b"\x00" * 16,

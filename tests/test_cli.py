@@ -15,8 +15,9 @@ from emofuse.checkpoint import (
     save_checkpoint,
     save_fusion_checkpoint,
 )
-from emofuse.cli import build_parser, main, parse_args
+from emofuse.cli import _check_freeze, build_parser, main, parse_args
 from emofuse.encoder import EncoderConfig
+from emofuse.errors import UsageError
 from emofuse.fileio import sha256_file
 from emofuse.fusion import FusionModel
 
@@ -56,6 +57,14 @@ class TestGenData:
 
     def test_too_small_n_is_input_error(self, tmp_path):
         assert main(["gen-data", "--out-dir", str(tmp_path), "--n", "10"]) == 2
+
+    @pytest.mark.parametrize("name", ["../../../x.jsonl", "sub/x.jsonl", "/tmp/x.jsonl", ".", ".."])
+    def test_name_with_directory_part_is_usage_error(self, tmp_path, capsys, name):
+        capsys.readouterr()
+        assert main(["gen-data", "--out-dir", str(tmp_path / "a/b/c"), "--n", "40",
+                     "--name", name]) == 1
+        assert "--name" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_artifact_mode_matches_plain_open(self, tmp_path):
         old_umask = os.umask(0o022)
@@ -205,6 +214,15 @@ class TestFinetune:
     def test_incoherent_freeze_combo_is_usage_error(self, workspace, tmp_path):
         assert self.run_finetune(
             workspace, tmp_path, ["--fusion", "speech-only", "--freeze", "text"]) == 1
+
+    @pytest.mark.parametrize("fusion, freeze, unused", [
+        ("speech-only", "text", "text"), ("speech-only", "both", "text"),
+        ("text-only", "speech", "speech"), ("text-only", "both", "speech")])
+    def test_freeze_of_unread_encoder_names_it(self, fusion, freeze, unused):
+        with pytest.raises(UsageError) as err:
+            _check_freeze(fusion, freeze)
+        assert str(err.value) == (f"--freeze {freeze} references the {unused} encoder, "
+                                  f"unused by {fusion}")
 
     def test_same_seed_identical_model(self, workspace, tmp_path):
         for sub in ("a", "b"):
@@ -371,11 +389,15 @@ BAD_NUMBERS = [
       for command in ("finetune", "pretrain") for value in ("nan", "inf")],
     *[(command, "--warmup-steps", "-1", "warmup_steps") for command in ("finetune", "pretrain")],
     *[("pretrain", "--mask-rate", value, "mask_rate") for value in ("0", "nan", "1.5")],
+    ("prepare", "--codebook-size", "0", "--codebook-size"),
+    *[("prepare", "--vocab-size", value, "--vocab-size") for value in ("0", "5")],
 ]
 
 
 def _training_argv(workspace, command, out):
     """A quick run of a training command on the shared workspace."""
+    if command == "prepare":
+        return [command, "--dataset", f"{workspace}/dataset.jsonl", "--out-dir", str(out)]
     inputs = ["--dataset", f"{workspace}/dataset.jsonl", "--codebook", f"{workspace}/codebook.bin"]
     if command == "pretrain":
         inputs += ["--steps", "2", "--batch-size", "2"]

@@ -10,12 +10,11 @@ from emofuse.fusion import (
     CoAttentionBlock,
     FusionModel,
     LinearHead,
+    FUSION_KINDS,
     co_attend,
-    co_attention_fuse,
     coattention_param_count,
-    shallow_fuse,
+    fuse,
     shallow_head_param_count,
-    unimodal_head,
 )
 from emofuse.tokens import CLS, TokenSequence
 
@@ -31,33 +30,33 @@ def fake_output(rng, length, dim):
 class TestParameterCounts:
     def test_shallow_head_full_scale_dims(self):
         assert shallow_head_param_count(768, 1024, 8) == 14_344
-        head = LinearHead.zeros(768 + 1024, 8)
+        head = LinearHead.init(768 + 1024, 8, None)
         assert head.param_count() == 14_344
 
     def test_unimodal_head_count(self):
-        head = LinearHead.zeros(768, 8)
+        head = LinearHead.init(768, 8, None)
         assert head.param_count() == 768 * 8 + 8
 
     def test_coattention_full_scale_closed_form_and_enumeration(self):
         assert coattention_param_count(768, 1024) == 6_429_696
-        block = CoAttentionBlock.zeros(768, 1024, n_heads=8)
+        block = CoAttentionBlock.init(768, 1024, n_heads=8, rng=None)
         assert block.param_count() == 6_429_696
         assert 5_500_000 <= block.param_count() <= 7_000_000
 
     def test_coattention_count_head_invariant(self):
         for heads in (1, 2, 4):
-            block = CoAttentionBlock.zeros(D_S, D_T, n_heads=heads)
+            block = CoAttentionBlock.init(D_S, D_T, n_heads=heads, rng=None)
             assert block.param_count() == coattention_param_count(D_S, D_T)
 
     def test_head_count_must_divide_dims(self):
         with pytest.raises(ConfigError):
-            CoAttentionBlock.zeros(D_S, D_T, n_heads=5)
+            CoAttentionBlock.init(D_S, D_T, n_heads=5, rng=None)
 
 
 class TestShallowFuse:
     def test_zero_head_annihilates(self, rng):
-        head = LinearHead.zeros(D_S + D_T, 8)
-        out = shallow_fuse(fake_output(rng, 4, D_S), fake_output(rng, 3, D_T), head)
+        head = LinearHead.init(D_S + D_T, 8, None)
+        out = fuse([fake_output(rng, 4, D_S), fake_output(rng, 3, D_T)], head)
         assert np.array_equal(out.logits.data, np.zeros((1, 8)))
 
     def test_speech_block_comes_first(self, rng):
@@ -65,34 +64,34 @@ class TestShallowFuse:
         speech = fake_output(rng, 4, D_S)
         text = fake_output(rng, 3, D_T)
         zero_text = EncoderOutput(hidden=T.Tensor(np.zeros((3, D_T))))
-        got = shallow_fuse(speech, zero_text, head).logits.data
+        got = fuse([speech, zero_text], head).logits.data
         manual = speech.cls.data @ head.w.data[:D_S] + head.b.data
         assert np.allclose(got, manual, atol=1e-12)
         # And zeroing text leaves only the speech block of W active.
-        full = shallow_fuse(speech, text, head).logits.data
+        full = fuse([speech, text], head).logits.data
         assert not np.allclose(full, got, atol=1e-9)
 
     def test_dim_mismatch_rejected(self, rng):
-        head = LinearHead.zeros(D_S + D_T + 1, 8)
+        head = LinearHead.init(D_S + D_T + 1, 8, None)
         with pytest.raises(ConfigError):
-            shallow_fuse(fake_output(rng, 2, D_S), fake_output(rng, 2, D_T), head)
+            fuse([fake_output(rng, 2, D_S), fake_output(rng, 2, D_T)], head)
 
 
 class TestUnimodalHead:
     def test_zero_weights_zero_logits(self, rng):
-        out = unimodal_head(fake_output(rng, 5, D_S).cls, LinearHead.zeros(D_S, 8))
+        out = fuse([fake_output(rng, 5, D_S)], LinearHead.init(D_S, 8, None))
         assert np.array_equal(out.logits.data, np.zeros((1, 8)))
 
     def test_embeds_into_bimodal_head(self, rng):
         speech = fake_output(rng, 4, D_S)
         text = fake_output(rng, 3, D_T)
         uni = LinearHead.init(D_S, 8, rng)
-        bi = LinearHead.zeros(D_S + D_T, 8)
+        bi = LinearHead.init(D_S + D_T, 8, None)
         bi.w.data[:D_S] = uni.w.data
         bi.b.data[:] = uni.b.data
         assert np.allclose(
-            unimodal_head(speech.cls, uni).logits.data,
-            shallow_fuse(speech, text, bi).logits.data,
+            fuse([speech], uni).logits.data,
+            fuse([speech, text], bi).logits.data,
             atol=1e-12,
         )
 
@@ -156,7 +155,7 @@ class TestCoAttend:
             assert np.array_equal(weights, ref_weights[:, 0])
 
     def test_zero_block_returns_original_cls(self, rng):
-        block = CoAttentionBlock.zeros(D_S, D_T, n_heads=2)
+        block = CoAttentionBlock.init(D_S, D_T, n_heads=2, rng=None)
         speech = fake_output(rng, 4, D_S)
         text = fake_output(rng, 5, D_T)
         cls_s, cls_t, _ = co_attend(speech, text, block)
@@ -167,18 +166,18 @@ class TestCoAttend:
 class TestCoAttentionFuse:
     def test_zero_init_equivalence_bitwise(self, rng):
         head = LinearHead.init(D_S + D_T, 8, rng)
-        block = CoAttentionBlock.zeros(D_S, D_T, n_heads=2)
+        block = CoAttentionBlock.init(D_S, D_T, n_heads=2, rng=None)
         for _ in range(100):
             speech = fake_output(rng, int(rng.integers(1, 10)), D_S)
             text = fake_output(rng, int(rng.integers(1, 10)), D_T)
-            co = co_attention_fuse(speech, text, block, head).logits.data
-            sh = shallow_fuse(speech, text, head).logits.data
+            co = fuse([speech, text], head, block).logits.data
+            sh = fuse([speech, text], head).logits.data
             assert np.array_equal(co, sh)
 
     def test_logits_finite_at_desk_dims(self, rng):
         head = LinearHead.init(128 + 160, 8, rng)
         block = CoAttentionBlock.init(128, 160, n_heads=4, rng=rng)
-        out = co_attention_fuse(fake_output(rng, 40, 128), fake_output(rng, 12, 160), block, head)
+        out = fuse([fake_output(rng, 40, 128), fake_output(rng, 12, 160)], head, block)
         assert np.isfinite(out.logits.data).all()
         assert out.attention is not None
 
@@ -190,7 +189,7 @@ class TestCoAttentionFuse:
         leaves = [speech.hidden, text.hidden, head.w, head.b, *block.params.values()]
 
         def loss():
-            out = co_attention_fuse(speech, text, block, head)
+            out = fuse([speech, text], head, block)
             return T.cross_entropy_rows(out.logits, [2])
 
         assert_grads_match(loss, leaves)
@@ -201,7 +200,7 @@ class TestCoAttentionFuse:
         text = EncoderOutput(hidden=T.Tensor(rng.standard_normal((4, D_T)), requires_grad=True))
 
         def loss():
-            out = shallow_fuse(speech, text, head)
+            out = fuse([speech, text], head)
             return T.cross_entropy_rows(out.logits, [1])
 
         assert_grads_match(loss, [speech.hidden, text.hidden, head.w, head.b])
@@ -221,19 +220,19 @@ class TestFusionModel:
 
     def test_kind_validation(self):
         with pytest.raises(ConfigError):
-            FusionModel("bogus", LinearHead.zeros(8, 8))
+            FusionModel("bogus", LinearHead.init(8, 8, None))
         with pytest.raises(ConfigError):
-            FusionModel("shallow", LinearHead.zeros(20, 8), speech=self.speech_state)
+            FusionModel("shallow", LinearHead.init(20, 8, None), speech=self.speech_state)
         with pytest.raises(ConfigError):
-            FusionModel("coattn", LinearHead.zeros(20, 8),
+            FusionModel("coattn", LinearHead.init(20, 8, None),
                         speech=self.speech_state, text=self.text_state)
 
     def test_head_width_must_match_kind(self):
         with pytest.raises(ConfigError):
-            FusionModel("shallow", LinearHead.zeros(8, 8),
+            FusionModel("shallow", LinearHead.init(8, 8, None),
                         speech=self.speech_state, text=self.text_state)
         with pytest.raises(ConfigError):
-            FusionModel("text-only", LinearHead.zeros(20, 8), text=self.text_state)
+            FusionModel("text-only", LinearHead.init(20, 8, None), text=self.text_state)
 
     def test_init_draw_order(self):
         cfg_s, cfg_t = self.speech_state.cfg, self.text_state.cfg
@@ -253,8 +252,8 @@ class TestFusionModel:
             assert all(np.array_equal(ours[n].data, theirs[n].data) for n in ours), kind
 
     def test_named_params_cover_components(self):
-        block = CoAttentionBlock.zeros(8, 12, n_heads=2)
-        model = FusionModel("coattn", LinearHead.zeros(20, 8),
+        block = CoAttentionBlock.init(8, 12, n_heads=2, rng=None)
+        model = FusionModel("coattn", LinearHead.init(20, 8, None),
                             speech=self.speech_state, text=self.text_state, block=block)
         names = model.named_params()
         assert any(n.startswith("speech.") for n in names)
@@ -264,16 +263,39 @@ class TestFusionModel:
 
     def test_fuse_dispatch(self):
         speech_seq, text_seq = self.seqs()
-        speech_out = forward(speech_seq, self.speech_state)
-        text_out = forward(text_seq, self.text_state)
+        outputs = {"speech": forward(speech_seq, self.speech_state),
+                   "text": forward(text_seq, self.text_state)}
         shallow = FusionModel("shallow", LinearHead.init(20, 8, self.rng),
                               speech=self.speech_state, text=self.text_state)
         uni_s = FusionModel("speech-only", LinearHead.init(8, 8, self.rng),
                             speech=self.speech_state)
         uni_t = FusionModel("text-only", LinearHead.init(12, 8, self.rng),
                             text=self.text_state)
-        for model, needs in ((shallow, (True, True)), (uni_s, (True, False)), (uni_t, (False, True))):
-            assert (model.needs_speech, model.needs_text) == needs
-            out = model.fuse(speech_out if model.needs_speech else None,
-                             text_out if model.needs_text else None)
+        for model, reads in ((shallow, ("speech", "text")), (uni_s, ("speech",)),
+                             (uni_t, ("text",))):
+            assert tuple(model.encoders()) == reads
+            out = model.fuse(*(outputs[modality] for modality in model.encoders()))
             assert out.logits.data.shape == (1, 8)
+
+    def test_rejects_unread_encoder_and_stray_block(self):
+        with pytest.raises(ConfigError, match="does not read a text encoder"):
+            FusionModel("speech-only", LinearHead.init(8, 8, None),
+                        speech=self.speech_state, text=self.text_state)
+        with pytest.raises(ConfigError, match="takes no CoAttentionBlock"):
+            FusionModel("shallow", LinearHead.init(20, 8, None),
+                        speech=self.speech_state, text=self.text_state,
+                        block=CoAttentionBlock.init(8, 12, n_heads=2, rng=None))
+
+    @pytest.mark.parametrize("kind", list(FUSION_KINDS))
+    def test_fuse_is_head_of_concatenated_cls(self, kind):
+        """Bitwise: the head applied to the (co-attended) CLS vectors, speech first."""
+        model = FusionModel.init(kind, self.speech_state.cfg, self.text_state.cfg, n_outputs=8,
+                                 coattn_heads=2, rng=np.random.default_rng(3))
+        seqs = dict(zip(("speech", "text"), self.seqs()))
+        outputs = [forward(seqs[modality], state) for modality, state in model.encoders().items()]
+        cls_vecs = [out.cls for out in outputs]
+        if kind == "coattn":
+            cls_vecs = list(co_attend(*outputs, model.block)[:2])
+        features = T.concat_cols(cls_vecs) if len(cls_vecs) == 2 else cls_vecs[0]
+        expected = T.linear(features, model.head.w, model.head.b)
+        assert np.array_equal(model.fuse(*outputs).logits.data, expected.data)

@@ -89,6 +89,10 @@ class TestTrainCodebook:
         with pytest.raises(InputError):
             train_codebook(rng.standard_normal((3, 2)), k=4, seed=0)
 
+    def test_k_below_one_rejected_as_such(self, rng):
+        with pytest.raises(InputError, match="must be at least 1, got 0"):
+            train_codebook(rng.standard_normal((3, 2)), k=0, seed=0)
+
     def test_objective_non_increasing(self, rng):
         frames = rng.standard_normal((120, 5))
         previous = None

@@ -384,8 +384,7 @@ class TestEvaluationRecordsNoGraph:
         ex = self._example(1)
 
         def logits():
-            speech_out, text_out = _model_outputs(model, ex, False, None, None, None)
-            return model.fuse(speech_out, text_out).logits
+            return model.fuse(*_model_outputs(model, ex, False, None, {})).logits
 
         recorded = logits()
         with T.no_grad():
@@ -418,7 +417,7 @@ class TestEncoderCache:
         second = TokenizedExample("dup", TokenSequence("speech", (CLS, 9, 8, 7)), text, 1)
         cache = _EncoderCache(state)
         for ex in (first, second):
-            cached, _ = _model_outputs(model, ex, False, None, cache, None)
+            [cached] = _model_outputs(model, ex, False, None, {"speech": cache})
             assert np.array_equal(cached.hidden.data, forward(ex.speech, state).hidden.data)
 
 
