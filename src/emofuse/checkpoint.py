@@ -29,6 +29,7 @@ from .encoder import EncoderConfig, EncoderState
 from .errors import ConfigError, InputError
 from .fileio import atomic_write_bytes
 from .fusion import FusionModel
+from .training import HEAD_OUTPUTS
 
 MAGIC = b"EMFCKPT1"
 
@@ -169,6 +170,9 @@ def load_fusion_checkpoint(path: str | Path) -> tuple[FusionModel, dict]:
     if meta.get("kind") != "fusion":
         raise InputError(f"{path}: not a fusion checkpoint")
     with _metadata_errors(path):
+        if HEAD_OUTPUTS.get(meta.get("label_mode")) != meta["n_outputs"]:
+            raise InputError(f"{path}: label mode {meta.get('label_mode')!r} with "
+                             f"{meta['n_outputs']!r} head outputs; want one of {HEAD_OUTPUTS}")
         config = lambda key: EncoderConfig(**meta[key]) if meta[key] is not None else None
         kind = meta["fusion"]
         model = FusionModel.init(kind, config("speech_config"), config("text_config"),

@@ -44,7 +44,8 @@ from .metrics import MetricReport
 from .speech import Codebook, discretize, train_codebook
 from .text import Vocabulary, build_vocab
 from .tokens import N_SPECIALS
-from .training import AdamState, TrainConfig, evaluate_model, run_finetune, run_pretraining
+from .training import (HEAD_OUTPUTS, AdamState, TrainConfig, evaluate_model, run_finetune,
+                       run_pretraining)
 
 FREEZE_CHOICES = ("none", "speech", "text", "both")
 
@@ -319,9 +320,9 @@ def _train_one(args, manifest, splits, speech_cfg, text_cfg, fusion, freeze, see
     without a test split).
     """
     freeze_flags = _check_freeze(fusion, freeze)
-    n_outputs = 2 * len(CLASS_NAMES) if args.label_mode == "categorical" else 1
-    model = FusionModel.init(fusion, speech_cfg, text_cfg, n_outputs, args.coattn_heads,
-                             np.random.default_rng(seed), fusion_dropout=args.dropout)
+    model = FusionModel.init(fusion, speech_cfg, text_cfg, HEAD_OUTPUTS[args.label_mode],
+                             args.coattn_heads, np.random.default_rng(seed),
+                             fusion_dropout=args.dropout)
     if speech_checkpoint and model.speech is not None:
         _load_pretrained_speech(speech_checkpoint, model, manifest)
     cfg = _train_config(args, seed=seed, **freeze_flags)
@@ -373,8 +374,8 @@ def cmd_evaluate(args) -> int:
     codebook = Codebook.load(args.codebook)
     max_len = {modality: state.cfg.max_len for modality, state in model.encoders().items()}
     examples = tokenize_examples(dataset.subset(args.split), codebook, vocab,
-                                 speech_max_len=max_len.get("speech", 8),
-                                 text_max_len=max_len.get("text", 8))
+                                 speech_max_len=max_len.get("speech"),
+                                 text_max_len=max_len.get("text"))
     report = evaluate_model(model, examples, meta["label_mode"], class_names=CLASS_NAMES)
     _print_report(report, f"metrics on split {args.split!r}")
     metrics_path = out / "eval_metrics.csv"

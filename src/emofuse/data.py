@@ -265,11 +265,11 @@ def load_jsonl(path: str | Path, featurizer: FrameFeaturizerConfig | None = None
 
 @dataclass
 class TokenizedExample:
-    """A dataset row after both modality front ends have run."""
+    """A dataset row after the front ends have run; an untokenized modality is None."""
 
     id: str
-    speech: TokenSequence
-    text: TokenSequence
+    speech: TokenSequence | None
+    text: TokenSequence | None
     target: int | float
 
 
@@ -277,16 +277,18 @@ def tokenize_examples(
     examples: list[LabeledExample],
     codebook: Codebook,
     vocab: Vocabulary,
-    speech_max_len: int,
-    text_max_len: int,
+    speech_max_len: int | None,
+    text_max_len: int | None,
 ) -> list[TokenizedExample]:
+    """Tokenize each example's speech and text; a max_len of None skips that modality."""
     out = []
     for ex in examples:
         target = ex.label if ex.label is not None else ex.score
         out.append(TokenizedExample(
             id=ex.id,
-            speech=discretize(ex.frames, codebook, max_len=speech_max_len),
-            text=encode(ex.text, vocab, max_len=text_max_len),
+            speech=None if speech_max_len is None else discretize(ex.frames, codebook,
+                                                                  max_len=speech_max_len),
+            text=None if text_max_len is None else encode(ex.text, vocab, max_len=text_max_len),
             target=target,
         ))
     return out

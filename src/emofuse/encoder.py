@@ -159,15 +159,49 @@ def multi_head_attention(x, kv, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
 
     Self-attention passes ``kv = x``; co-attention passes the other modality's
     sequence. The heads run as one [n_heads x L x d_head] batch, split from and
-    merged back into the projections' columns. Returns the output [Lq x d] and
-    the weights [n_heads x Lq x Lkv].
+    merged back into the projections' columns; leading batch axes of ``x`` and
+    ``kv`` pass through. Returns the output [Lq x d] and the weights
+    [n_heads x Lq x Lkv].
     """
     dh = wq.data.shape[1] // n_heads
     q = T.split_heads(T.linear(x, wq, bq), n_heads)
     k = T.split_heads(T.linear(kv, wk, bk), n_heads)
     v = T.split_heads(T.linear(kv, wv, bv), n_heads)
-    attn = T.softmax_rows(T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh)))
+    k_t = T.transpose(k, (*range(k.data.ndim - 2), k.data.ndim - 1, k.data.ndim - 2))
+    attn = T.softmax_rows(T.scale(T.matmul(q, k_t), 1.0 / math.sqrt(dh)))
     return T.linear(T.merge_heads(T.matmul(attn, v)), wo, bo), attn.data
+
+
+def _checked_ids(seq: TokenSequence, cfg: EncoderConfig) -> np.ndarray:
+    """The IDs of ``seq``; overlong sequences and IDs outside the vocabulary are rejected."""
+    if len(seq) > cfg.max_len:
+        raise InputError(f"sequence of length {len(seq)} exceeds max_len {cfg.max_len}")
+    ids = np.asarray(seq.ids, dtype=np.int64)
+    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
+        raise InputError(f"token id outside vocabulary of size {cfg.vocab_size}")
+    return ids
+
+
+def _body(ids: np.ndarray, state: EncoderState, drop: float, rng, train_mode: bool):
+    """Hidden states and per-layer attention weights of ``ids``: one sequence [L],
+    or a stack of equal-length sequences [B x L] run as one batch."""
+    cfg, prms = state.cfg, state.params
+    x = (T.gather_rows(prms["tok_emb"], ids)
+         + T.gather_rows(prms["pos_emb"], np.arange(ids.shape[-1])))
+    x = T.dropout(x, drop, rng, train_mode)
+    attns: list[np.ndarray] = []
+    for i in range(cfg.n_layers):
+        p = f"layers.{i}"
+        h = T.layer_norm(x, prms[f"{p}.ln1.g"], prms[f"{p}.ln1.b"])
+        a, w = multi_head_attention(h, h, *(prms[f"{p}.attn.{n}"] for n in _ATTN_PARAMS),
+                                    cfg.n_heads)
+        attns.append(w)
+        x = x + T.dropout(a, drop, rng, train_mode)
+        h2 = T.layer_norm(x, prms[f"{p}.ln2.g"], prms[f"{p}.ln2.b"])
+        f = T.gelu(T.linear(h2, prms[f"{p}.ff.w1"], prms[f"{p}.ff.b1"]))
+        f = T.linear(f, prms[f"{p}.ff.w2"], prms[f"{p}.ff.b2"])
+        x = x + T.dropout(f, drop, rng, train_mode)
+    return T.layer_norm(x, prms["final_ln.g"], prms["final_ln.b"]), attns
 
 
 def forward(
@@ -183,34 +217,34 @@ def forward(
     eval-mode forward is a pure function of (state, seq). Overlong sequences
     are rejected; truncation is the tokenizers' job.
     """
-    cfg = state.cfg
-    if len(seq) > cfg.max_len:
-        raise InputError(f"sequence of length {len(seq)} exceeds max_len {cfg.max_len}")
-    ids = np.asarray(seq.ids, dtype=np.int64)
-    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
-        raise InputError(f"token id outside vocabulary of size {cfg.vocab_size}")
-    drop = cfg.dropout_rate if train_mode else 0.0
+    ids = _checked_ids(seq, state.cfg)
+    drop = state.cfg.dropout_rate if train_mode else 0.0
     if drop > 0.0 and rng is None:
         raise UsageError("train-mode forward with dropout needs an rng")
+    hidden, attns = _body(ids, state, drop, rng, train_mode)
+    return EncoderOutput(hidden=hidden, attentions=attns if collect_attention else None)
 
-    prms = state.params
-    x = T.gather_rows(prms["tok_emb"], ids) + T.gather_rows(prms["pos_emb"], np.arange(len(ids)))
-    x = T.dropout(x, drop, rng, train_mode)
-    attns: list[np.ndarray] = []
-    for i in range(cfg.n_layers):
-        p = f"layers.{i}"
-        h = T.layer_norm(x, prms[f"{p}.ln1.g"], prms[f"{p}.ln1.b"])
-        a, w = multi_head_attention(h, h, *(prms[f"{p}.attn.{n}"] for n in _ATTN_PARAMS),
-                                    cfg.n_heads)
-        if collect_attention:
-            attns.append(w)
-        x = x + T.dropout(a, drop, rng, train_mode)
-        h2 = T.layer_norm(x, prms[f"{p}.ln2.g"], prms[f"{p}.ln2.b"])
-        f = T.gelu(T.linear(h2, prms[f"{p}.ff.w1"], prms[f"{p}.ff.b1"]))
-        f = T.linear(f, prms[f"{p}.ff.w2"], prms[f"{p}.ff.b2"])
-        x = x + T.dropout(f, drop, rng, train_mode)
-    y = T.layer_norm(x, prms["final_ln.g"], prms["final_ln.b"])
-    return EncoderOutput(hidden=y, attentions=attns if collect_attention else None)
+
+def forward_many(seqs: list[TokenSequence], state: EncoderState,
+                 collect_attention: bool = False) -> list[EncoderOutput]:
+    """Eval-mode ``forward`` of each sequence, run in length groups and recording no graph.
+
+    Sequences of equal length go through the encoder as one [B x L] stack.
+    Returns one output per sequence, in input order, each bitwise equal to
+    its own ``forward``; its ``hidden`` is a row view of its group's stack.
+    """
+    ids = [_checked_ids(seq, state.cfg) for seq in seqs]
+    groups: dict[int, list[int]] = {}
+    for i, row in enumerate(ids):
+        groups.setdefault(len(row), []).append(i)
+    outputs: list[EncoderOutput] = [None] * len(ids)
+    with T.no_grad():
+        for members in groups.values():
+            hidden, attns = _body(np.stack([ids[i] for i in members]), state, 0.0, None, False)
+            for row, i in enumerate(members):
+                outputs[i] = EncoderOutput(T.Tensor(hidden.data[row]),
+                                           [w[row] for w in attns] if collect_attention else None)
+    return outputs
 
 
 def mask_corrupt(

@@ -15,6 +15,10 @@ transformer's hot spots, each one record with a hand-written VJP: ``linear``
 [n_heads x L x d_head] regrouping of attention heads). They compute exactly
 the arrays their unfused compositions compute, bit for bit.
 
+``linear``, ``layer_norm``, ``gather_rows``, the head ops and ``matmul`` also take
+leading batch axes. numpy multiplies a stack one matrix at a time with the same
+BLAS call and the rest works row by row, so each stacked row is bitwise its 2-D call.
+
 The GELU here is the exact-erf form, x * Phi(x).
 """
 
@@ -183,8 +187,8 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors, or of two 3-D stacks matrix by matrix."""
-    if (a.data.ndim != b.data.ndim or a.data.ndim not in (2, 3)
+    """Matrix product of two 2-D tensors, or of two stacks with equal leading axes."""
+    if (a.data.ndim != b.data.ndim or a.data.ndim < 2
             or a.data.shape[:-2] != b.data.shape[:-2] or a.data.shape[-1] != b.data.shape[-2]):
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
     out = a.data @ b.data
@@ -196,11 +200,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` of a 2-D tensor, the bias row broadcast over the rows.
+    """Affine map ``x @ w + b`` of the rows of ``x`` (2-D, or with leading batch axes),
+    the bias row broadcast over the rows.
 
     One record in place of a matmul and a bias add, with the same result.
     """
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+    if x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(f"linear: incompatible shapes {x.data.shape} and {w.data.shape}")
     n = w.data.shape[1]
     if b.data.shape not in ((n,), (1, n)):
@@ -208,28 +213,29 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = x.data @ w.data + b.data
 
     def vjp(g: Array):
-        return g @ w.data.T, x.data.T @ g, _unbroadcast(g, b.data.shape)
+        rows = x.data.reshape(-1, w.data.shape[0])
+        return g @ w.data.T, rows.T @ g.reshape(-1, n), _unbroadcast(g, b.data.shape)
 
     return _result("linear", out, (x, w, b), vjp)
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """[L x d] -> [n_heads x L x d/n_heads]: head h takes column block h of every row."""
-    if x.data.ndim != 2 or n_heads < 1 or x.data.shape[1] % n_heads != 0:
+    """[... x L x d] -> [... x n_heads x L x d/n_heads]: head h takes column block h."""
+    if x.data.ndim < 2 or n_heads < 1 or x.data.shape[-1] % n_heads != 0:
         raise ShapeError(f"split_heads: cannot split shape {x.shape} into {n_heads} heads")
-    rows, d = x.data.shape
-    out = x.data.reshape(rows, n_heads, d // n_heads).transpose(1, 0, 2)
-    return _result("split_heads", out, (x,), lambda g: (g.transpose(1, 0, 2).reshape(rows, d),))
+    shape = x.data.shape
+    out = x.data.reshape(*shape[:-1], n_heads, shape[-1] // n_heads).swapaxes(-3, -2)
+    return _result("split_heads", out, (x,), lambda g: (g.swapaxes(-3, -2).reshape(shape),))
 
 
 def merge_heads(x: Tensor) -> Tensor:
-    """[n_heads x L x d_head] -> [L x n_heads*d_head], the inverse of ``split_heads``."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"merge_heads needs a 3-D tensor, got shape {x.shape}")
-    n_heads, rows, dh = x.data.shape
-    out = x.data.transpose(1, 0, 2).reshape(rows, n_heads * dh)
+    """[... x n_heads x L x d_head] -> [... x L x n_heads*d_head]; inverts ``split_heads``."""
+    if x.data.ndim < 3:
+        raise ShapeError(f"merge_heads needs at least 3 dimensions, got shape {x.shape}")
+    *lead, n_heads, rows, dh = x.data.shape
+    out = x.data.swapaxes(-3, -2).reshape(*lead, rows, n_heads * dh)
     return _result("merge_heads", out, (x,),
-                   lambda g: (g.reshape(rows, n_heads, dh).transpose(1, 0, 2),))
+                   lambda g: (g.reshape(*lead, rows, n_heads, dh).swapaxes(-3, -2),))
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -283,10 +289,10 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows of a 2-D tensor by integer index (with repetition)."""
+    """Select rows of a 2-D tensor by integer index (with repetition), 1-D or 2-D."""
     idx = np.asarray(indices, dtype=np.int64)
-    if a.data.ndim != 2 or idx.ndim != 1:
-        raise ShapeError(f"gather_rows: need 2-D data and 1-D indices, got {a.shape}")
+    if a.data.ndim != 2 or idx.ndim not in (1, 2):
+        raise ShapeError(f"gather_rows: need 2-D data and 1-D or 2-D indices, got {a.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise InputError(f"gather_rows: index out of range for {a.data.shape[0]} rows")
     out = a.data[idx]
@@ -323,19 +329,19 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row to zero mean / unit variance, then apply gain and bias."""
+    """Normalize each row (last axis) to zero mean / unit variance, then apply gain and bias."""
     if eps <= 0.0:
         raise InputError(f"layer_norm: eps must be positive, got {eps}")
-    if x.data.ndim != 2:
-        raise ShapeError(f"layer_norm needs a 2-D tensor, got shape {x.shape}")
-    d = x.data.shape[1]
+    if x.data.ndim < 2:
+        raise ShapeError(f"layer_norm needs at least 2 dimensions, got shape {x.shape}")
+    d = x.data.shape[-1]
     if gain.data.shape[-1] != d or bias.data.shape[-1] != d:
         raise ShapeError(
             f"layer_norm: gain/bias last dim must be {d}, got {gain.shape} and {bias.shape}"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = xhat * gain.data + bias.data
@@ -344,8 +350,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         dxhat = g * gain.data
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         )
         return (
             dx,

@@ -17,12 +17,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .encoder import EncoderState, forward, mask_corrupt, masked_lm_loss
+from .encoder import EncoderState, forward, forward_many, mask_corrupt, masked_lm_loss
 from .errors import ConfigError, InputError, NumericError, UsageError
 from .fusion import FusionModel
-from .data import TokenizedExample
+from .data import CLASS_NAMES, TokenizedExample
 from .metrics import evaluate_classification, evaluate_scores
 from .tokens import TokenSequence
+
+# Head outputs per label mode: a (negative, positive) logit pair per class, or one score.
+HEAD_OUTPUTS = {"categorical": 2 * len(CLASS_NAMES), "score": 1}
+# Examples per evaluation chunk; bounds the length-group stacks alive at once.
+EVAL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -347,21 +352,26 @@ def evaluate_model(
 ):
     """Eval-mode predictions over a split, summarized as a MetricReport.
 
-    ``caches`` serves frozen encoders' outputs by modality. The forwards run
-    under ``T.no_grad()``: nothing differentiates them, so they record no graph.
+    ``caches`` serves frozen encoders' outputs by modality; every other
+    encoder runs ``forward_many`` over at most EVAL_CHUNK examples at a time,
+    in length groups. Each example is then fused on its own. Nothing
+    differentiates these forwards, so they run under ``T.no_grad()``.
     """
     if not examples:
         raise InputError("cannot evaluate on an empty example list")
+    if label_mode not in HEAD_OUTPUTS:
+        raise InputError(f"unknown label mode {label_mode!r}")
+    caches = caches or {}
+    predict, gold = (predict_class, int) if label_mode == "categorical" else (predict_score, float)
     preds, golds = [], []
-    for ex in examples:
-        with T.no_grad():
-            fused = model.fuse(*_model_outputs(model, ex, False, None, caches or {}))
-        if label_mode == "categorical":
-            preds.append(predict_class(fused.logits.data))
-            golds.append(int(ex.target))
-        else:
-            preds.append(predict_score(fused.logits.data))
-            golds.append(float(ex.target))
+    with T.no_grad():
+        for start in range(0, len(examples), EVAL_CHUNK):
+            chunk = examples[start : start + EVAL_CHUNK]
+            outputs = [[caches[m].get(getattr(ex, m)) for ex in chunk] if m in caches
+                       else forward_many([getattr(ex, m) for ex in chunk], state)
+                       for m, state in model.encoders().items()]
+            preds += [predict(model.fuse(*outs).logits.data) for outs in zip(*outputs)]
+            golds += [gold(ex.target) for ex in chunk]
     if label_mode == "categorical":
         return evaluate_classification(preds, golds, class_names)
     return evaluate_scores(preds, golds)
@@ -385,7 +395,7 @@ def run_finetune(
     """
     if not train:
         raise InputError("fine-tuning needs a non-empty training split")
-    if label_mode not in ("categorical", "score"):
+    if label_mode not in HEAD_OUTPUTS:
         raise InputError(f"unknown label mode {label_mode!r}")
     steps_per_epoch = (len(train) + cfg.batch_size - 1) // cfg.batch_size
     cfg = cfg.resolved(total_steps=max(1, epochs * steps_per_epoch))

@@ -197,6 +197,11 @@ class TestFusionCheckpoint:
         lambda meta: meta["coattn"].update(n_heads=0),
         lambda meta: meta.update(fusion="bogus"),
         lambda meta: meta.update(fusion="text-only", text_config=None),
+        lambda meta: meta.pop("label_mode"),
+        lambda meta: meta.update(label_mode="ordinal"),
+        lambda meta: meta.update(label_mode=["categorical"]),
+        lambda meta: meta.update(label_mode="score"),  # 8 outputs, where a score has 1
+        lambda meta: meta.pop("n_outputs"),
     ])
     def test_metadata_that_builds_no_model_is_input_error(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from emofuse import data
 from emofuse.checkpoint import (
     MAGIC,
     load_checkpoint,
@@ -19,7 +20,8 @@ from emofuse.cli import _check_freeze, build_parser, main, parse_args
 from emofuse.encoder import EncoderConfig
 from emofuse.errors import UsageError
 from emofuse.fileio import sha256_file
-from emofuse.fusion import FusionModel
+from emofuse.data import load_jsonl
+from emofuse.fusion import FUSION_KINDS, FusionModel
 
 TINY_ARCH = [
     "--speech-layers", "1", "--speech-dim", "16", "--speech-heads", "2",
@@ -317,6 +319,52 @@ class TestEvaluate:
                      "--out-dir", str(tmp_path), "--split", "test"]) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
+
+    def evaluate(self, workspace, model, out):
+        return main(["evaluate", "--model", str(model),
+                     "--dataset", f"{workspace}/dataset.jsonl",
+                     "--vocab", f"{workspace}/vocab.txt",
+                     "--codebook", f"{workspace}/codebook.bin",
+                     "--out-dir", str(out), "--split", "test"])
+
+    @pytest.mark.parametrize("fusion", ["text-only", "speech-only", "shallow"])
+    def test_tokenizes_only_the_modalities_the_model_reads(self, workspace, tmp_path,
+                                                            monkeypatch, fusion):
+        out = tmp_path / "ft"
+        assert TestFinetune().run_finetune(workspace, out, ["--fusion", fusion]) == 0
+        calls = {"discretize": 0, "encode": 0}
+        for name in calls:
+            original = getattr(data, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(data, name, counted)
+        assert self.evaluate(workspace, out / "model.ckpt", out) == 0
+        n = len(load_jsonl(f"{workspace}/dataset.jsonl").subset("test"))
+        reads = FUSION_KINDS[fusion]
+        assert calls == {"discretize": n if "speech" in reads else 0,
+                         "encode": n if "text" in reads else 0}
+
+    @pytest.mark.parametrize("n_outputs, edit", [
+        (8, lambda meta: meta.pop("label_mode")),
+        (1, lambda meta: None),  # a categorical checkpoint with a 1-output head
+    ])
+    def test_label_mode_that_does_not_fit_the_head_exits_2(self, workspace, tmp_path, capsys,
+                                                          n_outputs, edit):
+        cfg = EncoderConfig(1, 16, 2, 32, 17, 64)
+        path = tmp_path / "model.ckpt"
+        model = FusionModel.init("shallow", cfg, cfg, n_outputs, 0, np.random.default_rng(0))
+        save_fusion_checkpoint(path, model, label_mode="categorical")
+        meta, blocks = load_checkpoint(path)
+        edit(meta)
+        save_checkpoint(path, meta, blocks)
+        capsys.readouterr()
+        assert self.evaluate(workspace, path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert not (tmp_path / "eval_metrics.csv").exists()
 
     def test_missing_split_rejected(self, workspace, tmp_path):
         out = tmp_path / "ft"

@@ -12,6 +12,7 @@ from emofuse.encoder import (
     SPEECH_FULL_SCALE,
     TEXT_FULL_SCALE,
     forward,
+    forward_many,
     mask_corrupt,
     masked_lm_loss,
     multi_head_attention,
@@ -96,6 +97,45 @@ class TestForward:
         expected = base.copy()
         expected[[i, j]] = expected[[j, i]]
         assert np.allclose(swapped, expected, atol=1e-10)
+
+
+class TestForwardMany:
+    """Length-grouped eval forwards against one ``forward`` per sequence."""
+
+    # Lengths 4, 2, 4, 6, 2, 4: three groups of mixed size, in mixed order.
+    BODIES = ([5, 6, 7], [9], [10, 5, 8], [6, 6, 7, 8, 9], [5], [7, 7, 7])
+
+    def test_each_row_is_its_forward_bitwise(self):
+        state = randomize_state(tiny_state(), np.random.default_rng(1))
+        seqs = [make_seq(body) for body in self.BODIES]
+        outs = forward_many(seqs, state, collect_attention=True)
+        assert len(outs) == len(seqs)
+        for seq, out in zip(seqs, outs):
+            ref = forward(seq, state, collect_attention=True)
+            assert np.array_equal(out.hidden.data, ref.hidden.data)
+            assert np.array_equal(out.cls.data, ref.cls.data)
+            assert len(out.attentions) == TINY.n_layers
+            assert all(np.array_equal(w, r) for w, r in zip(out.attentions, ref.attentions))
+        # Equal lengths share one stack; each hidden is a row view of it.
+        assert outs[0].hidden.data.base is outs[2].hidden.data.base is not None
+        assert forward_many(seqs, state)[0].attentions is None
+        assert forward_many([], state) == []
+
+    def test_records_no_graph_and_recording_resumes(self):
+        state = tiny_state()
+        outs = forward_many([make_seq(body) for body in self.BODIES], state)
+        assert all(out.hidden.op is None and not out.hidden.requires_grad for out in outs)
+        assert forward(make_seq([5, 6]), state).hidden.op is not None
+
+    @pytest.mark.parametrize("bad", [[5] * TINY.max_len, [TINY.vocab_size], [-1]])
+    def test_bad_sequences_fail_like_forward(self, bad):
+        state = tiny_state()
+        seqs = [make_seq([5, 6]), make_seq(bad), make_seq([7])]
+        with pytest.raises(InputError) as single:
+            forward(seqs[1], state)
+        with pytest.raises(InputError) as many:
+            forward_many(seqs, state)
+        assert str(many.value) == str(single.value)
 
 
 def recorded_ops(tensor) -> dict[str, int]:

@@ -44,7 +44,7 @@ def save_vocab(path, rng):
 
 
 def save_model(path, rng):
-    model = FusionModel.init("coattn", TINY, TINY, 4, 2, rng)
+    model = FusionModel.init("coattn", TINY, TINY, 8, 2, rng)  # a categorical head: 4 pairs
     save_fusion_checkpoint(path, model, label_mode="categorical")
 
 

@@ -1,4 +1,5 @@
-"""The benchmark's hooks rebind emofuse functions by name and must still find them."""
+"""The benchmark's hooks rebind emofuse functions by name and must still find
+them, and still read their arguments and results through a traced run."""
 
 import subprocess
 import sys
@@ -11,17 +12,47 @@ import sys
 sys.path[:0] = sys.argv[1:3]
 import stages, tracing
 stages.Clock().install()
-tracing.Tracer("t").instrument()
+tracer = tracing.Tracer("t")
+tracer.instrument()
+"""
+
+# A tiny co-attention finetune and an evaluate of its checkpoint, on a
+# 40-example workspace, through the hooked functions.
+TRACED_RUN = HOOKS + """
+import tempfile
+from emofuse import cli
+arch = [f"--{m}-{flag}={value}" for m in ("speech", "text")
+        for flag, value in (("layers", 1), ("dim", 8), ("heads", 2), ("ff", 16))]
+with tempfile.TemporaryDirectory() as work:
+    inputs = [f"--dataset={work}/dataset.jsonl", f"--vocab={work}/vocab.txt",
+              f"--codebook={work}/codebook.bin"]
+    for argv in (["gen-data", "--n=40", "--seed=0"],
+                 ["prepare", inputs[0], "--vocab-size=64", "--codebook-size=8", "--seed=0"],
+                 ["finetune", *inputs, "--fusion=coattn", "--epochs=1", "--batch-size=8", *arch],
+                 ["evaluate", *inputs, f"--model={work}/model.ckpt", "--split=test"]):
+        rc = cli.main([*argv, f"--out-dir={work}"])
+        assert rc == 0, (argv[0], rc)
+spans = tracer.self_times()
+assert spans["training.evaluate_model"][0] == 3, spans  # valid, test, then evaluate
+assert spans["encoder.forward.train"][0] > 0, spans
 """
 
 
-def test_benchmark_hooks_find_every_function():
-    """``Clock.install`` and ``Tracer.instrument`` raise AttributeError on a renamed function.
+def _child(code: str):
+    """Run ``code`` in a child process (``-B``: no bytecode written under
+    perfbench/), since the hooks rebind module attributes for the rest of it."""
+    return subprocess.run(
+        [sys.executable, "-B", "-c", code, str(ROOT / "perfbench"), str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120)
 
-    They run in a child process (``-B``: no bytecode written under perfbench/)
-    because they rebind module attributes for the rest of the process.
-    """
-    proc = subprocess.run(
-        [sys.executable, "-B", "-c", HOOKS, str(ROOT / "perfbench"), str(ROOT / "src")],
-        capture_output=True, text=True, timeout=60)
+
+def test_benchmark_hooks_find_every_function():
+    """``Clock.install`` and ``Tracer.instrument`` raise AttributeError on a renamed function."""
+    proc = _child(HOOKS)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_finetune_and_evaluate_exit_0():
+    """A hook that can no longer read its function's arguments or result fails the run."""
+    proc = _child(TRACED_RUN)
     assert proc.returncode == 0, proc.stderr

@@ -279,6 +279,44 @@ class TestFusedOps:
             T.merge_heads(w)
 
 
+class TestStackedOps:
+    """Each row of a stacked call is bitwise the op's 2-D call on that row."""
+
+    @pytest.mark.parametrize("bsz, rows, d, n", [(1, 1, 4, 3), (3, 7, 160, 640),
+                                                  (5, 52, 128, 512), (4, 9, 640, 160)])
+    def test_rows_match_2d_calls(self, rng, bsz, rows, d, n):
+        x = rng.standard_normal((bsz, rows, d))
+        w, b = T.Tensor(rng.standard_normal((d, n))), T.Tensor(rng.standard_normal((1, n)))
+        g, beta = T.Tensor(rng.standard_normal((1, d))), T.Tensor(rng.standard_normal((1, d)))
+        other = rng.standard_normal((bsz, 2, d // 2, rows))
+        stacked = [T.linear(T.Tensor(x), w, b), T.layer_norm(T.Tensor(x), g, beta),
+                   T.split_heads(T.Tensor(x), 2),
+                   T.merge_heads(T.split_heads(T.Tensor(x), 2)),
+                   T.matmul(T.split_heads(T.Tensor(x), 2), T.Tensor(other))]
+        for i in range(bsz):
+            row = T.Tensor(x[i])
+            single = [T.linear(row, w, b), T.layer_norm(row, g, beta), T.split_heads(row, 2),
+                      T.merge_heads(T.split_heads(row, 2)),
+                      T.matmul(T.split_heads(row, 2), T.Tensor(other[i]))]
+            for many, one in zip(stacked, single):
+                assert np.array_equal(many.data[i], one.data)
+        ids = rng.integers(0, d, size=(bsz, rows))
+        table = T.Tensor(rng.standard_normal((d, 3)))
+        gathered = T.gather_rows(table, ids).data
+        assert all(np.array_equal(gathered[i], T.gather_rows(table, ids[i]).data)
+                   for i in range(bsz))
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            T.gather_rows(T.Tensor(np.zeros((3, 2))), np.zeros((1, 1, 1), dtype=int))
+        with pytest.raises(ShapeError):
+            T.linear(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((3, 4))),
+                     T.Tensor(np.zeros((1, 4))))
+        with pytest.raises(ShapeError):
+            T.layer_norm(T.Tensor(np.zeros(4)), T.Tensor(np.ones((1, 4))),
+                         T.Tensor(np.zeros((1, 4))))
+
+
 class TestNoGrad:
     def test_records_nothing_and_keeps_values(self, rng):
         x = T.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -348,6 +386,25 @@ class TestGradientsMatchFiniteDifferences:
             assert_grads_match(lambda: T.sum_all(T.mul(T.split_heads(x, s), wx)), [x])
             assert_grads_match(lambda: T.sum_all(T.mul(T.merge_heads(a), wa)), [a])
 
+    def test_batched_matmul_linear_and_heads(self, rng):
+        """The widened ops with leading batch axes: a [B x ...] stack per call."""
+        for _ in range(3):
+            bsz, s, m, k = rng.integers(1, 4, size=4)
+            x = T.Tensor(rng.standard_normal((bsz, m, s * k)), requires_grad=True)
+            w = T.Tensor(rng.standard_normal((s * k, 3)), requires_grad=True)
+            c = T.Tensor(rng.standard_normal((1, 3)), requires_grad=True)
+            wy = T.Tensor(rng.standard_normal((bsz, m, 3)))
+            assert_grads_match(lambda: T.sum_all(T.mul(T.linear(x, w, c), wy)), [x, w, c])
+            heads = T.Tensor(rng.standard_normal((bsz, s, m, k)), requires_grad=True)
+            wh = T.Tensor(rng.standard_normal((bsz, s, m, k)))
+            wm = T.Tensor(rng.standard_normal((bsz, m, s * k)))
+            assert_grads_match(lambda: T.sum_all(T.mul(T.split_heads(x, s), wh)), [x])
+            assert_grads_match(lambda: T.sum_all(T.mul(T.merge_heads(heads), wm)), [heads])
+            other = T.Tensor(rng.standard_normal((bsz, s, k, m)), requires_grad=True)
+            wp = T.Tensor(rng.standard_normal((bsz, s, m, m)))
+            assert_grads_match(lambda: T.sum_all(T.mul(T.matmul(heads, other), wp)),
+                               [heads, other])
+
     def test_concat_slice_gather(self, rng):
         a = T.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         b = T.Tensor(rng.standard_normal((4, 5)), requires_grad=True)
@@ -365,9 +422,14 @@ class TestGradientsMatchFiniteDifferences:
             g = T.gather_rows(a, idx)
             return T.sum_all(T.mul(g, g))
 
+        def gather_2d_loss():
+            g = T.gather_rows(a, np.array([[0, 2], [3, 2], [1, 0]]))
+            return T.sum_all(T.mul(g, g))
+
         assert_grads_match(cat_loss, [a, b])
         assert_grads_match(slice_loss, [b])
         assert_grads_match(gather_loss, [a])
+        assert_grads_match(gather_2d_loss, [a])
 
     def test_softmax_layernorm_gelu(self, rng):
         x = T.Tensor(rng.standard_normal((4, 6)), requires_grad=True)
@@ -377,6 +439,8 @@ class TestGradientsMatchFiniteDifferences:
 
         x3 = T.Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
         w3 = T.Tensor(rng.standard_normal((3, 4, 5)))
+        g5 = T.Tensor(rng.standard_normal((1, 5)), requires_grad=True)
+        b5 = T.Tensor(rng.standard_normal((1, 5)), requires_grad=True)
 
         def softmax_loss():
             y = T.softmax_rows(T.matmul(x, w))
@@ -389,12 +453,16 @@ class TestGradientsMatchFiniteDifferences:
             y = T.layer_norm(x, gain, bias, eps=1e-5)
             return T.sum_all(T.mul(y, y))
 
+        def ln_3d_loss():
+            return T.sum_all(T.mul(T.layer_norm(x3, g5, b5), w3))
+
         def gelu_loss():
             return T.sum_all(T.mul(T.gelu(x), T.gelu(x)))
 
         assert_grads_match(softmax_loss, [x])
         assert_grads_match(softmax_3d_loss, [x3])
         assert_grads_match(ln_loss, [x, gain, bias])
+        assert_grads_match(ln_3d_loss, [x3, g5, b5])
         assert_grads_match(gelu_loss, [x])
 
     def test_losses(self, rng):

@@ -8,9 +8,10 @@ import pytest
 from emofuse import tensor as T
 from emofuse import training
 from emofuse.data import TokenizedExample, generate_synthetic, tokenize_examples
-from emofuse.encoder import EncoderConfig, EncoderState, forward
-from emofuse.errors import ConfigError, NumericError, UsageError
-from emofuse.fusion import FusionModel, LinearHead
+from emofuse.encoder import EncoderConfig, EncoderState, forward, forward_many
+from emofuse.errors import ConfigError, InputError, NumericError, UsageError
+from emofuse.fusion import FUSION_KINDS, FusionModel, LinearHead
+from emofuse.metrics import evaluate_classification, evaluate_scores
 from emofuse.speech import train_codebook
 from emofuse.text import build_vocab
 from emofuse.tokens import CLS, TokenSequence
@@ -26,6 +27,7 @@ from emofuse.training import (
     lr_at,
     overfit_one_batch,
     predict_class,
+    predict_score,
     run_finetune,
     run_pretraining,
 )
@@ -395,16 +397,78 @@ class TestEvaluationRecordsNoGraph:
     def test_evaluate_model_forwards_record_nothing(self, monkeypatch):
         outputs = []
 
-        def recording_forward(*args, **kwargs):
-            outputs.append(forward(*args, **kwargs))
-            return outputs[-1]
+        def recording_forward_many(*args, **kwargs):
+            outputs.extend(forward_many(*args, **kwargs))
+            return outputs[-len(args[0]):]
 
-        monkeypatch.setattr(training, "forward", recording_forward)
+        monkeypatch.setattr(training, "forward_many", recording_forward_many)
         evaluate_model(self._coattn_model(), [self._example(i) for i in range(3)], "categorical")
         assert len(outputs) == 6
         assert all(out.hidden.op is None for out in outputs)
         x = T.Tensor([[1.0]], requires_grad=True)
         assert (x + x).op is not None
+
+
+class TestEvaluateInLengthGroups:
+    """evaluate_model against one ``forward`` per example and modality, then ``fuse``."""
+
+    TEXT = EncoderConfig(n_layers=1, d_model=8, n_heads=2, d_ff=16,
+                         vocab_size=11, max_len=16, dropout_rate=0.1)
+    # Speech lengths 4, 2, 4, 7, 2, 4, 3 and text lengths 3, 3, 5, 3, 2, 5, 6:
+    # shared and unique lengths in both modalities, grouped differently.
+    SPEECH = ([5, 6, 7], [8], [9, 5, 6], [5, 6, 7, 8, 9, 10], [7], [6, 6, 6], [5, 9])
+    TEXT_IDS = ([8, 5], [9, 9], [5, 6, 7, 8], [10, 6], [7], [5, 5, 5, 5], [6, 7, 8, 9, 10])
+
+    def _examples(self, label_mode):
+        return [TokenizedExample(f"e{i}", TokenSequence("speech", (CLS, *s)),
+                                 TokenSequence("text", (CLS, *t)),
+                                 i % 4 if label_mode == "categorical" else i / 3.0)
+                for i, (s, t) in enumerate(zip(self.SPEECH, self.TEXT_IDS))]
+
+    def _model(self, kind, label_mode):
+        rng = np.random.default_rng(7)
+        model = FusionModel.init(kind, TINY, self.TEXT, training.HEAD_OUTPUTS[label_mode], 2, rng)
+        for p in model.named_params().values():  # off the near-zero init and zero biases
+            p.data = rng.normal(0.0, 0.5, size=p.data.shape)
+        return model
+
+    @pytest.mark.parametrize("kind, label_mode, frozen", [
+        *((kind, "categorical", None) for kind in FUSION_KINDS),
+        ("coattn", "score", None),
+        ("shallow", "categorical", "speech"),
+        ("coattn", "score", "text"),
+    ])
+    def test_reports_and_logits_match_per_example_forwards(self, monkeypatch, kind, label_mode,
+                                                           frozen):
+        model = self._model(kind, label_mode)
+        examples = self._examples(label_mode)
+        with T.no_grad():
+            reference = [model.fuse(*(forward(getattr(ex, m), state)
+                                      for m, state in model.encoders().items())).logits.data
+                         for ex in examples]
+        if label_mode == "categorical":
+            expected = evaluate_classification([predict_class(lg) for lg in reference],
+                                               [ex.target for ex in examples])
+        else:
+            expected = evaluate_scores([predict_score(lg) for lg in reference],
+                                       [ex.target for ex in examples])
+
+        seen = []
+        for name in ("predict_class", "predict_score"):
+            original = getattr(training, name)
+            monkeypatch.setattr(training, name, lambda lg, _f=original: seen.append(lg) or _f(lg))
+        for chunk in (training.EVAL_CHUNK, 3):  # one chunk, then chunks of 3, 3 and 1
+            monkeypatch.setattr(training, "EVAL_CHUNK", chunk)
+            seen.clear()
+            caches = {frozen: _EncoderCache(getattr(model, frozen))} if frozen else None
+            report = evaluate_model(model, examples, label_mode, caches=caches)
+            assert report == expected
+            assert len(seen) == len(examples)
+            assert all(np.array_equal(got, want) for got, want in zip(seen, reference))
+
+    def test_unknown_label_mode_rejected(self):
+        with pytest.raises(InputError, match="label mode"):
+            evaluate_model(self._model("shallow", "score"), self._examples("score"), "ordinal")
 
 
 class TestEncoderCache:
