@@ -2,8 +2,7 @@
 through two bidirectional transformer encoders, fused by CLS concatenation or
 co-attention."""
 
-from .encoder import (EncoderConfig, EncoderOutput, EncoderState, forward, forward_many,
-                      mask_corrupt, masked_lm_loss, param_count)
+from .encoder import EncoderConfig, EncoderOutput, EncoderState, forward, mask_corrupt, masked_lm_loss, param_count
 from .errors import ConfigError, EmofuseError, InputError, NumericError, ShapeError, UsageError
 from .fusion import CoAttentionBlock, FusionModel, FusionOutput, LinearHead, co_attend, fuse
 from .speech import Codebook, FrameFeaturizerConfig, discretize, featurize, train_codebook

@@ -25,11 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import HEAD_OUTPUTS
 from .encoder import EncoderConfig, EncoderState
 from .errors import ConfigError, InputError
 from .fileio import atomic_write_bytes
 from .fusion import FusionModel
-from .training import HEAD_OUTPUTS
 
 MAGIC = b"EMFCKPT1"
 

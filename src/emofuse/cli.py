@@ -31,6 +31,7 @@ from .checkpoint import (
 )
 from .data import (
     CLASS_NAMES,
+    HEAD_OUTPUTS,
     generate_synthetic,
     load_jsonl,
     save_jsonl,
@@ -44,8 +45,7 @@ from .metrics import MetricReport
 from .speech import Codebook, discretize, train_codebook
 from .text import Vocabulary, build_vocab
 from .tokens import N_SPECIALS
-from .training import (HEAD_OUTPUTS, AdamState, TrainConfig, evaluate_model, run_finetune,
-                       run_pretraining)
+from .training import AdamState, TrainConfig, evaluate_model, run_finetune, run_pretraining
 
 FREEZE_CHOICES = ("none", "speech", "text", "both")
 

@@ -28,6 +28,8 @@ from .text import Vocabulary, encode
 from .tokens import TokenSequence
 
 CLASS_NAMES = ("neutral", "happy", "sad", "angry")
+# Head outputs per label mode: a (negative, positive) logit pair per class, or one score.
+HEAD_OUTPUTS = {"categorical": 2 * len(CLASS_NAMES), "score": 1}
 
 HINT_FLIP_PROB = 0.25
 
@@ -286,8 +288,7 @@ def tokenize_examples(
         target = ex.label if ex.label is not None else ex.score
         out.append(TokenizedExample(
             id=ex.id,
-            speech=None if speech_max_len is None else discretize(ex.frames, codebook,
-                                                                  max_len=speech_max_len),
+            speech=None if speech_max_len is None else discretize(ex.frames, codebook, speech_max_len),
             text=None if text_max_len is None else encode(ex.text, vocab, max_len=text_max_len),
             target=target,
         ))

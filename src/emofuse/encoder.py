@@ -22,6 +22,8 @@ from .tokens import MASK, N_SPECIALS, TokenSequence
 INIT_STD = 0.02
 
 _ATTN_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+# Most bytes of the largest float64 intermediate of one forward_many stack.
+STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -159,9 +161,8 @@ def multi_head_attention(x, kv, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
 
     Self-attention passes ``kv = x``; co-attention passes the other modality's
     sequence. The heads run as one [n_heads x L x d_head] batch, split from and
-    merged back into the projections' columns; leading batch axes of ``x`` and
-    ``kv`` pass through. Returns the output [Lq x d] and the weights
-    [n_heads x Lq x Lkv].
+    merged back into the projections' columns, behind any leading batch axes.
+    Returns the output [Lq x d] and the weights [n_heads x Lq x Lkv].
     """
     dh = wq.data.shape[1] // n_heads
     q = T.split_heads(T.linear(x, wq, bq), n_heads)
@@ -182,9 +183,10 @@ def _checked_ids(seq: TokenSequence, cfg: EncoderConfig) -> np.ndarray:
     return ids
 
 
-def _body(ids: np.ndarray, state: EncoderState, drop: float, rng, train_mode: bool):
-    """Hidden states and per-layer attention weights of ``ids``: one sequence [L],
-    or a stack of equal-length sequences [B x L] run as one batch."""
+def _body(ids: np.ndarray, state: EncoderState, drop: float, rng, train_mode: bool,
+          collect_attention: bool = False):
+    """Hidden states of one sequence [L] or a stack of equal-length sequences [B x L],
+    and the per-layer attention weights if ``collect_attention`` is set (else none)."""
     cfg, prms = state.cfg, state.params
     x = (T.gather_rows(prms["tok_emb"], ids)
          + T.gather_rows(prms["pos_emb"], np.arange(ids.shape[-1])))
@@ -195,7 +197,8 @@ def _body(ids: np.ndarray, state: EncoderState, drop: float, rng, train_mode: bo
         h = T.layer_norm(x, prms[f"{p}.ln1.g"], prms[f"{p}.ln1.b"])
         a, w = multi_head_attention(h, h, *(prms[f"{p}.attn.{n}"] for n in _ATTN_PARAMS),
                                     cfg.n_heads)
-        attns.append(w)
+        if collect_attention:
+            attns.append(w)
         x = x + T.dropout(a, drop, rng, train_mode)
         h2 = T.layer_norm(x, prms[f"{p}.ln2.g"], prms[f"{p}.ln2.b"])
         f = T.gelu(T.linear(h2, prms[f"{p}.ff.w1"], prms[f"{p}.ff.b1"]))
@@ -221,17 +224,17 @@ def forward(
     drop = state.cfg.dropout_rate if train_mode else 0.0
     if drop > 0.0 and rng is None:
         raise UsageError("train-mode forward with dropout needs an rng")
-    hidden, attns = _body(ids, state, drop, rng, train_mode)
+    hidden, attns = _body(ids, state, drop, rng, train_mode, collect_attention)
     return EncoderOutput(hidden=hidden, attentions=attns if collect_attention else None)
 
 
-def forward_many(seqs: list[TokenSequence], state: EncoderState,
-                 collect_attention: bool = False) -> list[EncoderOutput]:
+def forward_many(seqs: list[TokenSequence], state: EncoderState) -> list[EncoderOutput]:
     """Eval-mode ``forward`` of each sequence, run in length groups and recording no graph.
 
-    Sequences of equal length go through the encoder as one [B x L] stack.
-    Returns one output per sequence, in input order, each bitwise equal to
-    its own ``forward``; its ``hidden`` is a row view of its group's stack.
+    Equal-length sequences run as [B x L] stacks whose largest intermediate, the
+    attention scores [B x h x L x L] or the feed-forward [B x L x d_ff], takes at
+    most STACK_BYTES when B > 1. Each output, in input order, is bitwise its own
+    ``forward``; its ``hidden`` is a row view of its stack.
     """
     ids = [_checked_ids(seq, state.cfg) for seq in seqs]
     groups: dict[int, list[int]] = {}
@@ -239,11 +242,12 @@ def forward_many(seqs: list[TokenSequence], state: EncoderState,
         groups.setdefault(len(row), []).append(i)
     outputs: list[EncoderOutput] = [None] * len(ids)
     with T.no_grad():
-        for members in groups.values():
-            hidden, attns = _body(np.stack([ids[i] for i in members]), state, 0.0, None, False)
-            for row, i in enumerate(members):
-                outputs[i] = EncoderOutput(T.Tensor(hidden.data[row]),
-                                           [w[row] for w in attns] if collect_attention else None)
+        for n, members in groups.items():
+            rows = max(1, STACK_BYTES // (8 * n * max(state.cfg.n_heads * n, state.cfg.d_ff)))
+            for stack in (members[s : s + rows] for s in range(0, len(members), rows)):
+                hidden, _ = _body(np.stack([ids[i] for i in stack]), state, 0.0, None, False)
+                for row, i in enumerate(stack):
+                    outputs[i] = EncoderOutput(T.Tensor(hidden.data[row]))
     return outputs
 
 

@@ -15,9 +15,8 @@ transformer's hot spots, each one record with a hand-written VJP: ``linear``
 [n_heads x L x d_head] regrouping of attention heads). They compute exactly
 the arrays their unfused compositions compute, bit for bit.
 
-``linear``, ``layer_norm``, ``gather_rows``, the head ops and ``matmul`` also take
-leading batch axes. numpy multiplies a stack one matrix at a time with the same
-BLAS call and the rest works row by row, so each stacked row is bitwise its 2-D call.
+``linear``, ``layer_norm``, ``gather_rows``, the head ops and ``matmul`` take leading batch
+axes too; each stacked row is bitwise its 2-D call (numpy multiplies matrix by matrix).
 
 The GELU here is the exact-erf form, x * Phi(x).
 """
@@ -200,8 +199,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` of the rows of ``x`` (2-D, or with leading batch axes),
-    the bias row broadcast over the rows.
+    """Affine map ``x @ w + b`` of the rows of ``x`` (any leading axes), bias row broadcast.
 
     One record in place of a matmul and a bias add, with the same result.
     """

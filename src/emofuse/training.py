@@ -20,14 +20,12 @@ from . import tensor as T
 from .encoder import EncoderState, forward, forward_many, mask_corrupt, masked_lm_loss
 from .errors import ConfigError, InputError, NumericError, UsageError
 from .fusion import FusionModel
-from .data import CLASS_NAMES, TokenizedExample
+from .data import HEAD_OUTPUTS, TokenizedExample
 from .metrics import evaluate_classification, evaluate_scores
 from .tokens import TokenSequence
 
-# Head outputs per label mode: a (negative, positive) logit pair per class, or one score.
-HEAD_OUTPUTS = {"categorical": 2 * len(CLASS_NAMES), "score": 1}
-# Examples per evaluation chunk; bounds the length-group stacks alive at once.
-EVAL_CHUNK = 256
+# Bytes of encoder outputs an evaluation chunk holds, each counted at its max_len.
+EVAL_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -352,10 +350,9 @@ def evaluate_model(
 ):
     """Eval-mode predictions over a split, summarized as a MetricReport.
 
-    ``caches`` serves frozen encoders' outputs by modality; every other
-    encoder runs ``forward_many`` over at most EVAL_CHUNK examples at a time,
-    in length groups. Each example is then fused on its own. Nothing
-    differentiates these forwards, so they run under ``T.no_grad()``.
+    ``caches`` serves frozen encoders' outputs by modality; the others run
+    ``forward_many`` over chunks of examples whose outputs take at most EVAL_BYTES.
+    Each example is then fused on its own. Nothing is differentiated: no graph.
     """
     if not examples:
         raise InputError("cannot evaluate on an empty example list")
@@ -364,13 +361,16 @@ def evaluate_model(
     caches = caches or {}
     predict, gold = (predict_class, int) if label_mode == "categorical" else (predict_score, float)
     preds, golds = [], []
+    size = max(1, EVAL_BYTES // sum(8 * s.cfg.max_len * s.cfg.d_model
+                                    for s in model.encoders().values()))
     with T.no_grad():
-        for start in range(0, len(examples), EVAL_CHUNK):
-            chunk = examples[start : start + EVAL_CHUNK]
-            outputs = [[caches[m].get(getattr(ex, m)) for ex in chunk] if m in caches
+        for start in range(0, len(examples), size):
+            chunk = examples[start : start + size]
+            # A generator, so no chunk's outputs outlive the statement that fuses them.
+            encoded = ([caches[m].get(getattr(ex, m)) for ex in chunk] if m in caches
                        else forward_many([getattr(ex, m) for ex in chunk], state)
-                       for m, state in model.encoders().items()]
-            preds += [predict(model.fuse(*outs).logits.data) for outs in zip(*outputs)]
+                       for m, state in model.encoders().items())
+            preds += [predict(model.fuse(*outs).logits.data) for outs in zip(*encoded)]
             golds += [gold(ex.target) for ex in chunk]
     if label_mode == "categorical":
         return evaluate_classification(preds, golds, class_names)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from emofuse import encoder
 from emofuse import tensor as T
 from emofuse.encoder import (
     EncoderConfig,
@@ -108,18 +109,43 @@ class TestForwardMany:
     def test_each_row_is_its_forward_bitwise(self):
         state = randomize_state(tiny_state(), np.random.default_rng(1))
         seqs = [make_seq(body) for body in self.BODIES]
-        outs = forward_many(seqs, state, collect_attention=True)
+        outs = forward_many(seqs, state)
         assert len(outs) == len(seqs)
         for seq, out in zip(seqs, outs):
-            ref = forward(seq, state, collect_attention=True)
+            ref = forward(seq, state)
             assert np.array_equal(out.hidden.data, ref.hidden.data)
             assert np.array_equal(out.cls.data, ref.cls.data)
-            assert len(out.attentions) == TINY.n_layers
-            assert all(np.array_equal(w, r) for w, r in zip(out.attentions, ref.attentions))
+            assert out.attentions is None
         # Equal lengths share one stack; each hidden is a row view of it.
         assert outs[0].hidden.data.base is outs[2].hidden.data.base is not None
-        assert forward_many(seqs, state)[0].attentions is None
         assert forward_many([], state) == []
+
+    def test_stacked_body_attention_rows_are_forward_attention_bitwise(self):
+        state = randomize_state(tiny_state(), np.random.default_rng(2))
+        seqs = [make_seq(body) for body in ([5, 6, 7], [10, 5, 8], [7, 7, 7])]
+        with T.no_grad():
+            _, stacked = encoder._body(np.stack([s.ids for s in seqs]), state, 0.0, None, False,
+                                       collect_attention=True)
+            assert encoder._body(np.array(seqs[0].ids), state, 0.0, None, False)[1] == []
+        assert len(stacked) == TINY.n_layers
+        for row, seq in enumerate(seqs):
+            ref = forward(seq, state, collect_attention=True).attentions
+            assert all(np.array_equal(w[row], r) for w, r in zip(stacked, ref))
+
+    def test_stacks_stay_within_stack_bytes(self, monkeypatch):
+        state = randomize_state(tiny_state(), np.random.default_rng(3))
+        seqs = [make_seq(body) for body in self.BODIES]
+        whole = forward_many(seqs, state)
+        # Length 4: 4 x max(2 heads x 4, d_ff 32) float64 = 1 KiB per row, so 2 rows a stack.
+        monkeypatch.setattr(encoder, "STACK_BYTES", 2 * 8 * 4 * 32)
+        shapes = []
+        body = encoder._body
+        monkeypatch.setattr(encoder, "_body",
+                            lambda ids, *a, **k: shapes.append(ids.shape) or body(ids, *a, **k))
+        split = forward_many(seqs, state)
+        # Length 2 takes 512 bytes a row (4 rows a stack), length 6 takes 1536 (1 row).
+        assert sorted(shapes) == [(1, 4), (1, 6), (2, 2), (2, 4)]
+        assert all(np.array_equal(a.hidden.data, b.hidden.data) for a, b in zip(split, whole))
 
     def test_records_no_graph_and_recording_resumes(self):
         state = tiny_state()

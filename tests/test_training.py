@@ -7,7 +7,7 @@ import pytest
 
 from emofuse import tensor as T
 from emofuse import training
-from emofuse.data import TokenizedExample, generate_synthetic, tokenize_examples
+from emofuse.data import HEAD_OUTPUTS, TokenizedExample, generate_synthetic, tokenize_examples
 from emofuse.encoder import EncoderConfig, EncoderState, forward, forward_many
 from emofuse.errors import ConfigError, InputError, NumericError, UsageError
 from emofuse.fusion import FUSION_KINDS, FusionModel, LinearHead
@@ -427,7 +427,7 @@ class TestEvaluateInLengthGroups:
 
     def _model(self, kind, label_mode):
         rng = np.random.default_rng(7)
-        model = FusionModel.init(kind, TINY, self.TEXT, training.HEAD_OUTPUTS[label_mode], 2, rng)
+        model = FusionModel.init(kind, TINY, self.TEXT, HEAD_OUTPUTS[label_mode], 2, rng)
         for p in model.named_params().values():  # off the near-zero init and zero biases
             p.data = rng.normal(0.0, 0.5, size=p.data.shape)
         return model
@@ -453,18 +453,24 @@ class TestEvaluateInLengthGroups:
             expected = evaluate_scores([predict_score(lg) for lg in reference],
                                        [ex.target for ex in examples])
 
-        seen = []
+        seen, calls = [], []
         for name in ("predict_class", "predict_score"):
             original = getattr(training, name)
             monkeypatch.setattr(training, name, lambda lg, _f=original: seen.append(lg) or _f(lg))
-        for chunk in (training.EVAL_CHUNK, 3):  # one chunk, then chunks of 3, 3 and 1
-            monkeypatch.setattr(training, "EVAL_CHUNK", chunk)
+        monkeypatch.setattr(training, "forward_many",
+                            lambda seqs, state: calls.append(len(seqs)) or forward_many(seqs, state))
+        # Each example's outputs take 8 bytes x max_len x d_model per encoder.
+        width = 8 * sum(state.cfg.max_len * state.cfg.d_model for state in model.encoders().values())
+        for budget, sizes in ((training.EVAL_BYTES, [7]), (3 * width + 1, [3, 3, 1])):
+            monkeypatch.setattr(training, "EVAL_BYTES", budget)
             seen.clear()
+            calls.clear()
             caches = {frozen: _EncoderCache(getattr(model, frozen))} if frozen else None
             report = evaluate_model(model, examples, label_mode, caches=caches)
             assert report == expected
             assert len(seen) == len(examples)
             assert all(np.array_equal(got, want) for got, want in zip(seen, reference))
+            assert sorted(calls) == sorted(sizes * (len(model.encoders()) - bool(frozen)))
 
     def test_unknown_label_mode_rejected(self):
         with pytest.raises(InputError, match="label mode"):
