@@ -461,12 +461,13 @@ def _add_train(p: argparse.ArgumentParser) -> None:
     """Architecture and optimizer flags of pretrain, finetune and ablate."""
     for modality, desk in (("speech", SPEECH_DESK), ("text", TEXT_DESK)):
         for name, (field, text) in _ARCH_FLAGS.items():
-            p.add_argument(f"--{modality}-{name.replace('_', '-')}", type=int,
+            p.add_argument(f"--{modality}-{name.replace('_', '-')}",
+                           type=_int_at_least(2 if name == "max_len" else 1),
                            default=getattr(desk, field), help=f"{modality} {text}")
     p.add_argument("--dropout", type=float, default=EncoderConfig.dropout_rate,
                    help="dropout rate")
     p.add_argument("--lr", type=float, default=TrainConfig.peak_lr, help="peak learning rate")
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size,
+    p.add_argument("--batch-size", type=_int_at_least(1), default=TrainConfig.batch_size,
                    help="effective batch size")
     p.add_argument("--warmup-steps", type=int, default=TrainConfig.warmup_steps,
                    help="warmup updates (default: 6%% of total)")
@@ -478,7 +479,7 @@ def _add_fusion_run(p: argparse.ArgumentParser) -> None:
     """Flags of the run behind `finetune` and each `ablate` cell."""
     _add_inputs(p, "dataset", "vocab", "codebook")
     p.add_argument("--epochs", type=_int_at_least(1), default=10, help="training epochs")
-    p.add_argument("--coattn-heads", type=int, default=4, help="co-attention heads")
+    p.add_argument("--coattn-heads", type=_int_at_least(1), default=4, help="co-attention heads")
 
 
 _INPUT_HELP = {"dataset": "dataset JSONL path", "vocab": "vocabulary file path",
@@ -516,7 +517,7 @@ def build_parser(parser_class: type[_Parser] = _Parser) -> argparse.ArgumentPars
 
     p = add("pretrain", "masked-token pretraining of the speech encoder")
     _add_inputs(p, "dataset", "codebook")
-    p.add_argument("--steps", type=int, default=500, help="total update steps")
+    p.add_argument("--steps", type=_int_at_least(1), default=500, help="total update steps")
     p.add_argument("--mask-rate", type=float, default=0.15, help="masking probability")
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
     p.add_argument("--checkpoint-interval", type=_int_at_least(0), default=0,

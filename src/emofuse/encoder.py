@@ -15,6 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import lanes
 from . import tensor as T
 from .errors import ConfigError, InputError, UsageError
 from .tokens import MASK, N_SPECIALS, TokenSequence
@@ -135,9 +136,6 @@ class EncoderState:
     def actual_param_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def copy_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.params.items()}
-
     def set_requires_grad(self, flag: bool) -> None:
         for p in self.params.values():
             p.requires_grad = flag
@@ -145,11 +143,9 @@ class EncoderState:
 
 @dataclass
 class EncoderOutput:
-    """Hidden states [L x d_model], row 0 the CLS vector; when collected, one
-    [n_heads x L x L] attention array per layer."""
+    """Hidden states [L x d_model], row 0 the CLS vector."""
 
     hidden: T.Tensor
-    attentions: list[np.ndarray] | None = None
 
     @property
     def cls(self) -> T.Tensor:
@@ -183,28 +179,23 @@ def _checked_ids(seq: TokenSequence, cfg: EncoderConfig) -> np.ndarray:
     return ids
 
 
-def _body(ids: np.ndarray, state: EncoderState, drop: float, rng, train_mode: bool,
-          collect_attention: bool = False):
-    """Hidden states of one sequence [L] or a stack of equal-length sequences [B x L],
-    and the per-layer attention weights if ``collect_attention`` is set (else none)."""
+def _body(ids: np.ndarray, state: EncoderState, drop: float, rng, train_mode: bool) -> T.Tensor:
+    """Hidden states of one sequence [L] or a stack of equal-length sequences [B x L]."""
     cfg, prms = state.cfg, state.params
     x = (T.gather_rows(prms["tok_emb"], ids)
          + T.gather_rows(prms["pos_emb"], np.arange(ids.shape[-1])))
     x = T.dropout(x, drop, rng, train_mode)
-    attns: list[np.ndarray] = []
     for i in range(cfg.n_layers):
         p = f"layers.{i}"
         h = T.layer_norm(x, prms[f"{p}.ln1.g"], prms[f"{p}.ln1.b"])
-        a, w = multi_head_attention(h, h, *(prms[f"{p}.attn.{n}"] for n in _ATTN_PARAMS),
+        a, _ = multi_head_attention(h, h, *(prms[f"{p}.attn.{n}"] for n in _ATTN_PARAMS),
                                     cfg.n_heads)
-        if collect_attention:
-            attns.append(w)
         x = x + T.dropout(a, drop, rng, train_mode)
         h2 = T.layer_norm(x, prms[f"{p}.ln2.g"], prms[f"{p}.ln2.b"])
         f = T.gelu(T.linear(h2, prms[f"{p}.ff.w1"], prms[f"{p}.ff.b1"]))
         f = T.linear(f, prms[f"{p}.ff.w2"], prms[f"{p}.ff.b2"])
         x = x + T.dropout(f, drop, rng, train_mode)
-    return T.layer_norm(x, prms["final_ln.g"], prms["final_ln.b"]), attns
+    return T.layer_norm(x, prms["final_ln.g"], prms["final_ln.b"])
 
 
 def forward(
@@ -212,7 +203,6 @@ def forward(
     state: EncoderState,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
-    collect_attention: bool = False,
 ) -> EncoderOutput:
     """Run the encoder over one sequence.
 
@@ -224,8 +214,7 @@ def forward(
     drop = state.cfg.dropout_rate if train_mode else 0.0
     if drop > 0.0 and rng is None:
         raise UsageError("train-mode forward with dropout needs an rng")
-    hidden, attns = _body(ids, state, drop, rng, train_mode, collect_attention)
-    return EncoderOutput(hidden=hidden, attentions=attns if collect_attention else None)
+    return EncoderOutput(hidden=_body(ids, state, drop, rng, train_mode))
 
 
 def forward_many(seqs: list[TokenSequence], state: EncoderState) -> list[EncoderOutput]:
@@ -233,22 +222,23 @@ def forward_many(seqs: list[TokenSequence], state: EncoderState) -> list[Encoder
 
     Equal-length sequences run as [B x L] stacks whose largest intermediate, the
     attention scores [B x h x L x L] or the feed-forward [B x L x d_ff], takes at
-    most STACK_BYTES when B > 1. Each output, in input order, is bitwise its own
-    ``forward``; its ``hidden`` is a row view of its stack.
+    most STACK_BYTES when B > 1; this thread and the helper lane share the stacks.
+    Each output, in input order, is bitwise its own ``forward``; its ``hidden`` is a
+    row view of its stack.
     """
     ids = [_checked_ids(seq, state.cfg) for seq in seqs]
     groups: dict[int, list[int]] = {}
     for i, row in enumerate(ids):
         groups.setdefault(len(row), []).append(i)
-    outputs: list[EncoderOutput] = [None] * len(ids)
-    with T.no_grad():
-        for n, members in groups.items():
-            rows = max(1, STACK_BYTES // (8 * n * max(state.cfg.n_heads * n, state.cfg.d_ff)))
-            for stack in (members[s : s + rows] for s in range(0, len(members), rows)):
-                hidden, _ = _body(np.stack([ids[i] for i in stack]), state, 0.0, None, False)
-                for row, i in enumerate(stack):
-                    outputs[i] = EncoderOutput(T.Tensor(hidden.data[row]))
-    return outputs
+    stacks = []
+    for n, members in groups.items():
+        rows = max(1, STACK_BYTES // (8 * n * max(state.cfg.n_heads * n, state.cfg.d_ff)))
+        stacks += [members[s : s + rows] for s in range(0, len(members), rows)]
+    with T.no_grad():  # process-wide, so it covers the helper's stacks too
+        hiddens = lanes.share(lambda stack: _body(np.stack([ids[i] for i in stack]), state,
+                                                  0.0, None, False), stacks)
+    row_of = {i: h.data[r] for stack, h in zip(stacks, hiddens) for r, i in enumerate(stack)}
+    return [EncoderOutput(T.Tensor(row_of[i])) for i in range(len(ids))]
 
 
 def mask_corrupt(

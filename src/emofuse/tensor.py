@@ -93,15 +93,6 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         return sub(self, as_tensor(other))
 
-    def __mul__(self, other) -> "Tensor":
-        return mul(self, as_tensor(other))
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
-    def __matmul__(self, other) -> "Tensor":
-        return matmul(self, other)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -111,8 +102,8 @@ def as_tensor(x) -> Tensor:
 def no_grad():
     """Run the block without recording: every result is a plain, graph-free tensor.
 
-    The values are the same as with recording. Blocks nest, and the previous
-    mode comes back on exit, also when the block raises.
+    The values are the same as with recording. Blocks nest, the previous mode comes
+    back on exit, also when the block raises, and the mode is process-wide.
     """
     global _recording
     previous = _recording
@@ -301,11 +292,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         return (full,)
 
     return _result("gather_rows", out, (a,), vjp)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum())
-    return _result("sum_all", out, (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
 
 
 def softmax_rows(x: Tensor) -> Tensor:

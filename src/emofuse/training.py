@@ -12,10 +12,12 @@ their outputs are computed once per distinct token sequence and cached.
 from __future__ import annotations
 
 import math
+from concurrent import futures
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import lanes
 from . import tensor as T
 from .encoder import EncoderState, forward, forward_many, mask_corrupt, masked_lm_loss
 from .errors import ConfigError, InputError, NumericError, UsageError
@@ -119,19 +121,23 @@ def adam_step(
     """Standard bias-corrected Adam update of the moments and ``p.data``, in place.
 
     Each elementwise operation of ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps)``
-    runs in the textbook order, so the result is bitwise that formula's; two
-    scratch arrays per parameter stand in for its fourteen temporaries.
+    runs in the textbook order, so the result is bitwise that formula's; two scratch
+    arrays per parameter stand in for its fourteen temporaries. All gradients are
+    checked first; then this thread and the helper lane each take the next parameter.
     """
     if not lr >= 0.0:
         raise UsageError(f"learning rate must be non-negative, got {lr}")
+    names = list(params)
+    finite = lanes.share(lambda name: bool(np.isfinite(grads[name]).all()), names)
+    if not all(finite):
+        raise NumericError("non-finite (NaN or inf) gradient for parameter "
+                           f"{names[finite.index(False)]!r}")
     opt.step += 1
     bc1 = 1.0 - cfg.beta1 ** opt.step
     bc2 = 1.0 - cfg.beta2 ** opt.step
-    for name, p in params.items():
-        g = grads[name]
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite (NaN or inf) gradient for parameter {name!r}")
-        m, v = opt.m[name], opt.v[name]
+
+    def step(name):
+        g, p, m, v = grads[name], params[name], opt.m[name], opt.v[name]
         scratch, update = np.empty_like(m), np.empty_like(m)
         np.multiply(g, 1.0 - cfg.beta1, out=scratch)
         m *= cfg.beta1
@@ -147,6 +153,8 @@ def adam_step(
         update *= lr
         update /= denom
         p.data -= update
+
+    lanes.share(step, names)
 
 
 def _clipped(grads: dict[str, np.ndarray], clip: float | None) -> dict[str, np.ndarray]:
@@ -183,15 +191,20 @@ def _update(params, losses, batch_size: int, opt: AdamState, lr: float, cfg: Tra
             total: float = 0.0) -> float:
     """One optimizer step over a batch; returns ``total`` plus the batch's losses.
 
-    ``losses`` yields one example's loss at a time and each is backpropagated
-    before the next is built, so one autodiff graph is alive at a time. Each
-    loss is added to ``total`` in turn, so a running epoch sum passed in keeps
-    its example-by-example order, bitwise.
+    ``losses`` yields one example's loss at a time. Its backward runs on the helper
+    lane, in dataset order, while the next is built: two autodiff graphs are alive at
+    a time, and all backwards finish before the step, also on an error. Each loss is
+    added to ``total`` in turn, so a running epoch sum keeps its order, bitwise.
     """
-    T.zero_grads(params.values())
-    for loss in losses:
-        T.backward(loss)
-        total += loss.item()
+    backward = lanes.submit(T.zero_grads, params.values())
+    try:
+        for loss in losses:
+            backward.result()
+            backward = lanes.submit(T.backward, loss)
+            total += loss.item()
+    finally:
+        futures.wait([backward])
+    backward.result()
     grads = _clipped(collect_gradients(params, batch_size), cfg.grad_clip)
     adam_step(params, grads, opt, lr, cfg)
     return total

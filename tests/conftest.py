@@ -1,11 +1,25 @@
 """Shared test helpers, chiefly the central finite-difference gradient oracle."""
 
 import math
+from concurrent import futures
 
 import numpy as np
 import pytest
 
+from emofuse import lanes
 from emofuse import tensor as T
+
+
+def sum_all(a):
+    """The sum of every entry of ``a`` as a 0-d tensor, with its VJP: the scalar
+    loss most gradient tests reduce to."""
+    out = np.asarray(a.data.sum())
+    return T._result("sum_all", out, (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
+
+
+def copy_arrays(state):
+    """A copy of each parameter array of an encoder state, by name."""
+    return {name: p.data.copy() for name, p in state.params.items()}
 
 
 def finite_diff_gradients(build_loss, leaf, h=1e-4):
@@ -13,18 +27,19 @@ def finite_diff_gradients(build_loss, leaf, h=1e-4):
 
     build_loss must be a deterministic function of the current leaf data
     (eval mode, no dropout). The leaf's data is perturbed in place and
-    restored.
+    restored. Nothing here is differentiated, so no graph is recorded.
     """
     flat = leaf.data.reshape(-1)
     num = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        up = build_loss().item()
-        flat[i] = orig - h
-        down = build_loss().item()
-        flat[i] = orig
-        num[i] = (up - down) / (2.0 * h)
+    with T.no_grad():
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = build_loss().item()
+            flat[i] = orig - h
+            down = build_loss().item()
+            flat[i] = orig
+            num[i] = (up - down) / (2.0 * h)
     return num.reshape(leaf.data.shape)
 
 
@@ -137,6 +152,14 @@ def full_tensor_lloyd(frames, centroids, max_iters, tol):
         if shift < tol:
             break
     return centroids, reseeded
+
+
+@pytest.fixture
+def set_lanes(monkeypatch):
+    """``set_lanes(n)`` runs the rest of the test on one lane or two, whatever the host."""
+    helper = futures.ThreadPoolExecutor(1, "test-helper")
+    yield lambda n: monkeypatch.setattr(lanes, "helper", helper if n == 2 else None)
+    helper.shutdown()
 
 
 @pytest.fixture

@@ -439,6 +439,15 @@ BAD_NUMBERS = [
     *[("pretrain", "--mask-rate", value, "mask_rate") for value in ("0", "nan", "1.5")],
     ("prepare", "--codebook-size", "0", "--codebook-size"),
     *[("prepare", "--vocab-size", value, "--vocab-size") for value in ("0", "5")],
+    *[("pretrain", "--steps", value, "--steps") for value in ("0", "-2")],
+    *[(command, "--batch-size", "0", "--batch-size")
+      for command in ("pretrain", "finetune", "ablate")],
+    ("finetune", "--coattn-heads", "0", "--coattn-heads"),
+    *[(command, f"--{modality}-{size}", "0", f"--{modality}-{size}")
+      for command, modality in (("pretrain", "speech"), ("finetune", "text"))
+      for size in ("layers", "dim", "heads", "ff")],
+    *[("finetune", f"--{modality}-max-len", "1", f"--{modality}-max-len")
+      for modality in ("speech", "text")],
 ]
 
 

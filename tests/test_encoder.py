@@ -23,7 +23,7 @@ from emofuse.encoder import (
 from emofuse.errors import ConfigError, InputError
 from emofuse.tokens import CLS, MASK, N_SPECIALS, TokenSequence
 
-from conftest import assert_grads_match, per_head_attention, randomize_state
+from conftest import assert_grads_match, copy_arrays, per_head_attention, randomize_state, sum_all
 
 TINY = EncoderConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32,
                      vocab_size=11, max_len=12, dropout_rate=0.1)
@@ -76,10 +76,11 @@ class TestForward:
 
     def test_attention_rows_sum_to_one(self):
         state = tiny_state()
-        out = forward(make_seq([5, 6, 7, 8, 9]), state, collect_attention=True)
-        assert len(out.attentions) == TINY.n_layers
-        for layer in out.attentions:
-            assert len(layer) == TINY.n_heads
+        x = T.gather_rows(state.params["tok_emb"], np.array(make_seq([5, 6, 7, 8, 9]).ids))
+        for i in range(TINY.n_layers):
+            weights = [state.params[f"layers.{i}.attn.{n}"] for n in encoder._ATTN_PARAMS]
+            _, layer = multi_head_attention(x, x, *weights, TINY.n_heads)
+            assert layer.shape == (TINY.n_heads, 6, 6)
             for head in layer:
                 assert np.all(head >= 0.0)
                 assert np.allclose(head.sum(axis=1), 1.0, atol=1e-6)
@@ -115,22 +116,20 @@ class TestForwardMany:
             ref = forward(seq, state)
             assert np.array_equal(out.hidden.data, ref.hidden.data)
             assert np.array_equal(out.cls.data, ref.cls.data)
-            assert out.attentions is None
         # Equal lengths share one stack; each hidden is a row view of it.
         assert outs[0].hidden.data.base is outs[2].hidden.data.base is not None
         assert forward_many([], state) == []
 
-    def test_stacked_body_attention_rows_are_forward_attention_bitwise(self):
+    def test_stacked_attention_rows_are_per_sequence_attention_bitwise(self):
         state = randomize_state(tiny_state(), np.random.default_rng(2))
-        seqs = [make_seq(body) for body in ([5, 6, 7], [10, 5, 8], [7, 7, 7])]
+        weights = [state.params[f"layers.0.attn.{n}"] for n in encoder._ATTN_PARAMS]
+        stack = T.Tensor(np.random.default_rng(3).standard_normal((3, 4, TINY.d_model)))
         with T.no_grad():
-            _, stacked = encoder._body(np.stack([s.ids for s in seqs]), state, 0.0, None, False,
-                                       collect_attention=True)
-            assert encoder._body(np.array(seqs[0].ids), state, 0.0, None, False)[1] == []
-        assert len(stacked) == TINY.n_layers
-        for row, seq in enumerate(seqs):
-            ref = forward(seq, state, collect_attention=True).attentions
-            assert all(np.array_equal(w[row], r) for w, r in zip(stacked, ref))
+            _, stacked = multi_head_attention(stack, stack, *weights, TINY.n_heads)
+            for row in range(3):
+                x = T.Tensor(stack.data[row])
+                assert np.array_equal(stacked[row],
+                                      multi_head_attention(x, x, *weights, TINY.n_heads)[1])
 
     def test_stacks_stay_within_stack_bytes(self, monkeypatch):
         state = randomize_state(tiny_state(), np.random.default_rng(3))
@@ -218,7 +217,7 @@ class TestMultiHeadAttention:
         for attend in (multi_head_attention, per_head_attention):
             out, weights = attend(x, kv, *params, heads)
             T.zero_grads(leaves)
-            T.backward(T.sum_all(T.mul(out, probe)))
+            T.backward(sum_all(T.mul(out, probe)))
             results.append((out.data, weights, [leaf.grad for leaf in leaves]))
         (out, weights, grads), (ref_out, ref_weights, ref_grads) = results
 
@@ -373,8 +372,8 @@ class TestParamCount:
 
 class TestStateInit:
     def test_init_is_deterministic(self):
-        a = tiny_state(seed=5).copy_arrays()
-        b = tiny_state(seed=5).copy_arrays()
+        a = copy_arrays(tiny_state(seed=5))
+        b = copy_arrays(tiny_state(seed=5))
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_biases_zero_gains_one(self):

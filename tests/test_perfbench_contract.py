@@ -1,11 +1,13 @@
 """The benchmark's hooks rebind emofuse functions by name and must still find
 them, and still read their arguments and results through a traced run."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 HOOKS = """
 import sys
@@ -32,6 +34,8 @@ with tempfile.TemporaryDirectory() as work:
                  ["evaluate", *inputs, f"--model={work}/model.ckpt", "--split=test"]):
         rc = cli.main([*argv, f"--out-dir={work}"])
         assert rc == 0, (argv[0], rc)
+from emofuse import lanes
+assert lanes.helper is not None or lanes._CPUS < 2  # the hooks also ran on the helper
 spans = tracer.self_times()
 assert spans["training.evaluate_model"][0] == 3, spans  # valid, test, then evaluate
 assert spans["encoder.forward.train"][0] > 0, spans
@@ -40,10 +44,13 @@ assert spans["encoder.forward.train"][0] > 0, spans
 
 def _child(code: str):
     """Run ``code`` in a child process (``-B``: no bytecode written under
-    perfbench/), since the hooks rebind module attributes for the rest of it."""
+    perfbench/), since the hooks rebind module attributes for the rest of it.
+    BLAS is pinned to one thread as the benchmark pins it, so on two or more
+    CPUs the hooks also run on the helper lane."""
+    env = dict(os.environ, **{var: "1" for var in BLAS_VARS})
     return subprocess.run(
         [sys.executable, "-B", "-c", code, str(ROOT / "perfbench"), str(ROOT / "src")],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
 
 
 def test_benchmark_hooks_find_every_function():

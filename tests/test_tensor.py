@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from emofuse import tensor as T
 from emofuse.errors import InputError, NumericError, ShapeError, UsageError
 
-from conftest import assert_grads_match
+from conftest import assert_grads_match, sum_all
 
 
 def triple_loop_matmul(a, b):
@@ -194,12 +194,12 @@ class TestGelu:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        T.backward(T.sum_all(x))
+        T.backward(sum_all(x))
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
     def test_sum_of_squares(self):
         x = T.Tensor([[1.0, 2.0]], requires_grad=True)
-        T.backward(T.sum_all(T.mul(x, x)))
+        T.backward(sum_all(T.mul(x, x)))
         assert np.allclose(x.grad, [[2.0, 4.0]], atol=1e-12)
 
     def test_non_scalar_rejected(self):
@@ -209,15 +209,15 @@ class TestBackward:
 
     def test_grads_accumulate_across_calls(self):
         x = T.Tensor([[3.0]], requires_grad=True)
-        T.backward(T.sum_all(T.mul(x, x)))
+        T.backward(sum_all(T.mul(x, x)))
         first = x.grad.copy()
-        T.backward(T.sum_all(T.mul(x, x)))
+        T.backward(sum_all(T.mul(x, x)))
         assert np.array_equal(x.grad, 2.0 * first)
 
     def test_shared_subexpression(self):
         x = T.Tensor([[2.0]], requires_grad=True)
         y = T.mul(x, x)
-        T.backward(T.sum_all(y + y))
+        T.backward(sum_all(y + y))
         assert np.allclose(x.grad, [[8.0]], atol=1e-12)
 
     def test_composite_attention_block_gradient(self, rng):
@@ -229,7 +229,7 @@ class TestBackward:
         def loss():
             scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / 2.0)
             ctx = T.matmul(T.softmax_rows(scores), v)
-            return T.sum_all(T.mul(ctx, ctx))
+            return sum_all(T.mul(ctx, ctx))
 
         assert_grads_match(loss, [q, k, v])
 
@@ -240,7 +240,7 @@ class TestFusedOps:
     def _grads(self, build, leaves):
         T.zero_grads(leaves)
         out = build()
-        T.backward(T.sum_all(T.mul(out, out)))
+        T.backward(sum_all(T.mul(out, out)))
         return out.data, [leaf.grad for leaf in leaves]
 
     @pytest.mark.parametrize("bias_shape", [(1, 7), (7,)])
@@ -352,23 +352,23 @@ class TestGradientsMatchFiniteDifferences:
             a = T.Tensor(rng.standard_normal((m, n)), requires_grad=True)
             b = T.Tensor(rng.standard_normal((m, n)), requires_grad=True)
             row = T.Tensor(rng.standard_normal((1, n)), requires_grad=True)
-            assert_grads_match(lambda: T.sum_all(T.mul(a + b, a - b)), [a, b])
-            assert_grads_match(lambda: T.sum_all(T.mul(a + row, a)), [a, row])
-            assert_grads_match(lambda: T.sum_all(T.mul(T.neg(a), T.scale(b, 1.7))), [a, b])
+            assert_grads_match(lambda: sum_all(T.mul(a + b, a - b)), [a, b])
+            assert_grads_match(lambda: sum_all(T.mul(a + row, a)), [a, row])
+            assert_grads_match(lambda: sum_all(T.mul(T.neg(a), T.scale(b, 1.7))), [a, b])
 
     def test_matmul_transpose_reshape(self, rng):
         for _ in range(5):
             m, k, n = rng.integers(1, 9, size=3)
             a = T.Tensor(rng.standard_normal((m, k)), requires_grad=True)
             b = T.Tensor(rng.standard_normal((k, n)), requires_grad=True)
-            assert_grads_match(lambda: T.sum_all(T.mul(T.matmul(a, b), T.matmul(a, b))), [a, b])
+            assert_grads_match(lambda: sum_all(T.mul(T.matmul(a, b), T.matmul(a, b))), [a, b])
             assert_grads_match(
-                lambda: T.sum_all(T.mul(T.transpose(a), T.transpose(a))), [a])
+                lambda: sum_all(T.mul(T.transpose(a), T.transpose(a))), [a])
             assert_grads_match(
-                lambda: T.sum_all(T.mul(T.reshape(a, (k * m, 1)), T.reshape(a, (k * m, 1)))), [a])
+                lambda: sum_all(T.mul(T.reshape(a, (k * m, 1)), T.reshape(a, (k * m, 1)))), [a])
             c = T.Tensor(rng.standard_normal((1, n)), requires_grad=True)
             assert_grads_match(
-                lambda: T.sum_all(T.mul(T.linear(a, b, c), T.linear(a, b, c))), [a, b, c])
+                lambda: sum_all(T.mul(T.linear(a, b, c), T.linear(a, b, c))), [a, b, c])
         for _ in range(3):
             s, m, k, n = rng.integers(1, 5, size=4)
             a = T.Tensor(rng.standard_normal((s, m, k)), requires_grad=True)
@@ -376,15 +376,15 @@ class TestGradientsMatchFiniteDifferences:
             w = T.Tensor(rng.standard_normal((m, s, n)))
             # A 3-D stack product, then a non-involutive axis permutation.
             assert_grads_match(
-                lambda: T.sum_all(T.mul(T.transpose(T.matmul(a, b), (1, 0, 2)), w)), [a, b])
+                lambda: sum_all(T.mul(T.transpose(T.matmul(a, b), (1, 0, 2)), w)), [a, b])
             assert_grads_match(
-                lambda: T.sum_all(T.mul(T.transpose(a, (2, 0, 1)), T.transpose(a, (2, 0, 1)))), [a])
+                lambda: sum_all(T.mul(T.transpose(a, (2, 0, 1)), T.transpose(a, (2, 0, 1)))), [a])
             # Head regrouping, each op against a fixed weight of its output shape.
             x = T.Tensor(rng.standard_normal((m, s * k)), requires_grad=True)
             wx = T.Tensor(rng.standard_normal((s, m, k)))
             wa = T.Tensor(rng.standard_normal((m, s * k)))
-            assert_grads_match(lambda: T.sum_all(T.mul(T.split_heads(x, s), wx)), [x])
-            assert_grads_match(lambda: T.sum_all(T.mul(T.merge_heads(a), wa)), [a])
+            assert_grads_match(lambda: sum_all(T.mul(T.split_heads(x, s), wx)), [x])
+            assert_grads_match(lambda: sum_all(T.mul(T.merge_heads(a), wa)), [a])
 
     def test_batched_matmul_linear_and_heads(self, rng):
         """The widened ops with leading batch axes: a [B x ...] stack per call."""
@@ -394,15 +394,15 @@ class TestGradientsMatchFiniteDifferences:
             w = T.Tensor(rng.standard_normal((s * k, 3)), requires_grad=True)
             c = T.Tensor(rng.standard_normal((1, 3)), requires_grad=True)
             wy = T.Tensor(rng.standard_normal((bsz, m, 3)))
-            assert_grads_match(lambda: T.sum_all(T.mul(T.linear(x, w, c), wy)), [x, w, c])
+            assert_grads_match(lambda: sum_all(T.mul(T.linear(x, w, c), wy)), [x, w, c])
             heads = T.Tensor(rng.standard_normal((bsz, s, m, k)), requires_grad=True)
             wh = T.Tensor(rng.standard_normal((bsz, s, m, k)))
             wm = T.Tensor(rng.standard_normal((bsz, m, s * k)))
-            assert_grads_match(lambda: T.sum_all(T.mul(T.split_heads(x, s), wh)), [x])
-            assert_grads_match(lambda: T.sum_all(T.mul(T.merge_heads(heads), wm)), [heads])
+            assert_grads_match(lambda: sum_all(T.mul(T.split_heads(x, s), wh)), [x])
+            assert_grads_match(lambda: sum_all(T.mul(T.merge_heads(heads), wm)), [heads])
             other = T.Tensor(rng.standard_normal((bsz, s, k, m)), requires_grad=True)
             wp = T.Tensor(rng.standard_normal((bsz, s, m, m)))
-            assert_grads_match(lambda: T.sum_all(T.mul(T.matmul(heads, other), wp)),
+            assert_grads_match(lambda: sum_all(T.mul(T.matmul(heads, other), wp)),
                                [heads, other])
 
     def test_concat_slice_gather(self, rng):
@@ -412,19 +412,19 @@ class TestGradientsMatchFiniteDifferences:
 
         def cat_loss():
             c = T.concat_cols([a, b])
-            return T.sum_all(T.mul(c, c))
+            return sum_all(T.mul(c, c))
 
         def slice_loss():
             s = T.slice_cols(b, 1, 4)
-            return T.sum_all(T.mul(s, s))
+            return sum_all(T.mul(s, s))
 
         def gather_loss():
             g = T.gather_rows(a, idx)
-            return T.sum_all(T.mul(g, g))
+            return sum_all(T.mul(g, g))
 
         def gather_2d_loss():
             g = T.gather_rows(a, np.array([[0, 2], [3, 2], [1, 0]]))
-            return T.sum_all(T.mul(g, g))
+            return sum_all(T.mul(g, g))
 
         assert_grads_match(cat_loss, [a, b])
         assert_grads_match(slice_loss, [b])
@@ -444,20 +444,20 @@ class TestGradientsMatchFiniteDifferences:
 
         def softmax_loss():
             y = T.softmax_rows(T.matmul(x, w))
-            return T.sum_all(T.mul(y, y))
+            return sum_all(T.mul(y, y))
 
         def softmax_3d_loss():
-            return T.sum_all(T.mul(T.softmax_rows(x3), w3))
+            return sum_all(T.mul(T.softmax_rows(x3), w3))
 
         def ln_loss():
             y = T.layer_norm(x, gain, bias, eps=1e-5)
-            return T.sum_all(T.mul(y, y))
+            return sum_all(T.mul(y, y))
 
         def ln_3d_loss():
-            return T.sum_all(T.mul(T.layer_norm(x3, g5, b5), w3))
+            return sum_all(T.mul(T.layer_norm(x3, g5, b5), w3))
 
         def gelu_loss():
-            return T.sum_all(T.mul(T.gelu(x), T.gelu(x)))
+            return sum_all(T.mul(T.gelu(x), T.gelu(x)))
 
         assert_grads_match(softmax_loss, [x])
         assert_grads_match(softmax_3d_loss, [x3])
@@ -512,7 +512,7 @@ class TestDropout:
         rng = np.random.default_rng(5)
         x = T.Tensor(np.ones((2, 8)), requires_grad=True)
         out = T.dropout(x, 0.5, rng, train_mode=True)
-        T.backward(T.sum_all(out))
+        T.backward(sum_all(out))
         assert np.array_equal((x.grad != 0.0), (out.data != 0.0))
 
     def test_missing_rng_rejected(self):

@@ -32,7 +32,7 @@ from emofuse.training import (
     run_pretraining,
 )
 
-from conftest import out_of_place_adam_step
+from conftest import copy_arrays, out_of_place_adam_step
 
 TINY = EncoderConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32,
                      vocab_size=11, max_len=16, dropout_rate=0.1)
@@ -157,6 +157,24 @@ class TestAdam:
             assert "'w'" in str(err.value)
             assert params["w"].data[0] == 1.0
 
+    @pytest.mark.parametrize("n_lanes", [1, 2])
+    def test_nan_in_last_gradient_changes_nothing(self, set_lanes, n_lanes):
+        set_lanes(n_lanes)
+        cfg = TrainConfig(total_steps=10, warmup_steps=1)
+        params = {n: T.Tensor(np.full(3, float(i)), requires_grad=True)
+                  for i, n in enumerate(("a", "b", "c"))}
+        opt = AdamState.fresh(params)
+        adam_step(params, {n: np.ones(3) for n in params}, opt, 1e-3, cfg)
+        before = [{n: a.copy() for n, a in arrays.items()}
+                  for arrays in ({n: p.data for n, p in params.items()}, opt.m, opt.v)]
+        grads = {"a": np.ones(3), "b": np.ones(3), "c": np.array([1.0, np.nan, 1.0])}
+        with pytest.raises(NumericError, match="'c'"):
+            adam_step(params, grads, opt, 1e-3, cfg)
+        assert opt.step == 1
+        after = ({n: p.data for n, p in params.items()}, opt.m, opt.v)
+        for old, new in zip(before, after):
+            assert all(np.array_equal(old[n], new[n]) for n in params)
+
 
 def tiny_corpus(rng, n_seqs=4, body=8):
     out = []
@@ -260,13 +278,13 @@ class TestFinetune:
         tok, speech, text = build_finetune_fixture(n=40)
         model = FusionModel("shallow", LinearHead.init(32, 8, np.random.default_rng(2)),
                             speech=speech, text=text)
-        before_s = speech.copy_arrays()
-        before_t = text.copy_arrays()
+        before_s = copy_arrays(speech)
+        before_t = copy_arrays(text)
         cfg = TrainConfig(peak_lr=1e-2, batch_size=8, seed=0,
                           freeze_speech=True, freeze_text=True)
         run_finetune(tok["train"], tok["valid"], model, cfg, epochs=2)
-        after_s = speech.copy_arrays()
-        after_t = text.copy_arrays()
+        after_s = copy_arrays(speech)
+        after_t = copy_arrays(text)
         assert all(np.array_equal(before_s[k], after_s[k]) for k in before_s)
         assert all(np.array_equal(before_t[k], after_t[k]) for k in before_t)
 
