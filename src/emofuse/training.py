@@ -12,7 +12,6 @@ their outputs are computed once per distinct token sequence and cached.
 from __future__ import annotations
 
 import math
-from concurrent import futures
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -191,20 +190,15 @@ def _update(params, losses, batch_size: int, opt: AdamState, lr: float, cfg: Tra
             total: float = 0.0) -> float:
     """One optimizer step over a batch; returns ``total`` plus the batch's losses.
 
-    ``losses`` yields one example's loss at a time. Its backward runs on the helper
-    lane, in dataset order, while the next is built: two autodiff graphs are alive at
-    a time, and all backwards finish before the step, also on an error. Each loss is
-    added to ``total`` in turn, so a running epoch sum keeps its order, bitwise.
+    ``losses`` yields one example's loss at a time and each is backpropagated
+    before the next is built, so one autodiff graph is alive at a time. Each
+    loss is added to ``total`` in turn, so a running epoch sum passed in keeps
+    its example-by-example order, bitwise.
     """
-    backward = lanes.submit(T.zero_grads, params.values())
-    try:
-        for loss in losses:
-            backward.result()
-            backward = lanes.submit(T.backward, loss)
-            total += loss.item()
-    finally:
-        futures.wait([backward])
-    backward.result()
+    T.zero_grads(params.values())
+    for loss in losses:
+        T.backward(loss)
+        total += loss.item()
     grads = _clipped(collect_gradients(params, batch_size), cfg.grad_clip)
     adam_step(params, grads, opt, lr, cfg)
     return total

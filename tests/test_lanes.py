@@ -5,7 +5,6 @@ import functools
 import os
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -13,7 +12,6 @@ import numpy as np
 import pytest
 
 from emofuse import encoder, lanes, training
-from emofuse import tensor as T
 from emofuse.cli import main
 from emofuse.data import HEAD_OUTPUTS, TokenizedExample, generate_synthetic, tokenize_examples
 from emofuse.encoder import EncoderConfig, EncoderState
@@ -25,7 +23,6 @@ from emofuse.tokens import CLS, TokenSequence
 from emofuse.training import (
     AdamState,
     TrainConfig,
-    _update,
     evaluate_model,
     overfit_one_batch,
     run_finetune,
@@ -150,33 +147,6 @@ def test_evaluate_model_logits_bitwise_across_lanes(set_lanes, monkeypatch):
     assert report1 == report2
     assert len(logits1) == len(logits2) == len(examples)
     assert all(np.array_equal(a, b) for a, b in zip(logits1, logits2))
-
-
-@pytest.mark.parametrize("n_lanes", [1, 2])
-def test_error_building_a_loss_waits_for_the_backward_in_flight(set_lanes, monkeypatch, n_lanes):
-    set_lanes(n_lanes)
-    x = T.Tensor(np.ones(3), requires_grad=True)
-    started, done = threading.Event(), []
-    backward = T.backward
-
-    def slow_backward(loss):
-        started.set()
-        time.sleep(0.2)
-        backward(loss)
-        done.append(True)
-
-    monkeypatch.setattr(T, "backward", slow_backward)
-
-    def losses():
-        yield T.scale(T.gather_rows(T.reshape(x, (3, 1)), [0]), 2.0)
-        started.wait()  # its backward is on the helper now
-        raise NumericError("softmax_rows: NaN or +inf in input")
-
-    with pytest.raises(NumericError):
-        _update({"x": x}, losses(), 1, AdamState.fresh({"x": x}), 1e-3,
-                TrainConfig(total_steps=2, warmup_steps=0))
-    assert done == [True]
-    assert np.array_equal(x.grad, [2.0, 0.0, 0.0])
 
 
 def test_share_keeps_order_and_stops_claiming_after_an_error(set_lanes):
