@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import lanes
 from . import tensor as T
 from .encoder import EncoderState, forward, forward_many, mask_corrupt, masked_lm_loss
 from .errors import ConfigError, InputError, NumericError, UsageError
@@ -120,23 +119,21 @@ def adam_step(
     """Standard bias-corrected Adam update of the moments and ``p.data``, in place.
 
     Each elementwise operation of ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps)``
-    runs in the textbook order, so the result is bitwise that formula's; two scratch
-    arrays per parameter stand in for its fourteen temporaries. All gradients are
-    checked first; then this thread and the helper lane each take the next parameter.
+    runs in the textbook order, so the result is bitwise that formula's; two
+    scratch arrays per parameter stand in for its fourteen temporaries. Every
+    gradient is checked before anything changes.
     """
     if not lr >= 0.0:
         raise UsageError(f"learning rate must be non-negative, got {lr}")
-    names = list(params)
-    finite = lanes.share(lambda name: bool(np.isfinite(grads[name]).all()), names)
-    if not all(finite):
-        raise NumericError("non-finite (NaN or inf) gradient for parameter "
-                           f"{names[finite.index(False)]!r}")
+    for name in params:
+        if not np.isfinite(grads[name]).all():
+            raise NumericError(f"non-finite (NaN or inf) gradient for parameter {name!r}")
     opt.step += 1
     bc1 = 1.0 - cfg.beta1 ** opt.step
     bc2 = 1.0 - cfg.beta2 ** opt.step
-
-    def step(name):
-        g, p, m, v = grads[name], params[name], opt.m[name], opt.v[name]
+    for name, p in params.items():
+        g = grads[name]
+        m, v = opt.m[name], opt.v[name]
         scratch, update = np.empty_like(m), np.empty_like(m)
         np.multiply(g, 1.0 - cfg.beta1, out=scratch)
         m *= cfg.beta1
@@ -152,8 +149,6 @@ def adam_step(
         update *= lr
         update /= denom
         p.data -= update
-
-    lanes.share(step, names)
 
 
 def _clipped(grads: dict[str, np.ndarray], clip: float | None) -> dict[str, np.ndarray]:
