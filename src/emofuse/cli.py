@@ -5,7 +5,8 @@ Every command resolves its configuration (defaults < config file < flags),
 runs, and writes a manifest next to its artifacts recording the resolved
 config, seed, input digests, and output digests. Artifacts are written
 atomically, so a failed run leaves no partial files. Exit codes: 0 success,
-1 usage error, 2 input error, 3 numeric failure.
+1 usage error, 2 input error (or a training worker process lost, see
+``emofuse.lanes``), 3 numeric failure.
 
 The output root comes from --out-dir, falling back to the EMOFUSE_OUT
 environment variable and then ./runs.
@@ -594,7 +595,10 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         args = parse_args(list(sys.argv[1:] if argv is None else argv))
-        return args.func(args)
+        # The numeric guards raise NumericError where a value goes non-finite, so NumPy's
+        # own floating-point warnings would only repeat it, as noise before the message.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

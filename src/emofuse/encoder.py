@@ -220,16 +220,19 @@ def forward(
 def forward_many(seqs: list[TokenSequence], state: EncoderState) -> list[EncoderOutput]:
     """Eval-mode ``forward`` of each sequence, run in length groups and recording no graph.
 
-    Equal-length sequences run as [B x L] stacks whose largest intermediate, the
-    attention scores [B x h x L x L] or the feed-forward [B x L x d_ff], takes at
-    most STACK_BYTES when B > 1; this thread and the helper lane share the stacks.
-    Each output, in input order, is bitwise its own ``forward``; its ``hidden`` is a
-    row view of its stack.
+    Each distinct sequence runs once. Equal-length ones run as [B x L] stacks whose
+    largest intermediate, the attention scores [B x h x L x L] or the feed-forward
+    [B x L x d_ff], takes at most STACK_BYTES when B > 1; this thread and the helper
+    lane share the stacks. Each output, in input order, is bitwise its own ``forward``;
+    its ``hidden`` is a row view of its stack, the same view for equal sequences.
     """
     ids = [_checked_ids(seq, state.cfg) for seq in seqs]
+    first: dict[tuple[int, ...], int] = {}  # each distinct sequence's first position
+    for i, seq in enumerate(seqs):
+        first.setdefault(seq.ids, i)
     groups: dict[int, list[int]] = {}
-    for i, row in enumerate(ids):
-        groups.setdefault(len(row), []).append(i)
+    for i in first.values():
+        groups.setdefault(len(ids[i]), []).append(i)
     stacks = []
     for n, members in groups.items():
         rows = max(1, STACK_BYTES // (8 * n * max(state.cfg.n_heads * n, state.cfg.d_ff)))
@@ -238,7 +241,7 @@ def forward_many(seqs: list[TokenSequence], state: EncoderState) -> list[Encoder
         hiddens = lanes.share(lambda stack: _body(np.stack([ids[i] for i in stack]), state,
                                                   0.0, None, False), stacks)
     row_of = {i: h.data[r] for stack, h in zip(stacks, hiddens) for r, i in enumerate(stack)}
-    return [EncoderOutput(T.Tensor(row_of[i])) for i in range(len(ids))]
+    return [EncoderOutput(T.Tensor(row_of[first[seq.ids]])) for seq in seqs]
 
 
 def mask_corrupt(

@@ -1,13 +1,26 @@
-"""A second lane: one FIFO helper thread, for work whose bits do not depend on the thread.
+"""A second lane: a FIFO helper thread, and a forked worker process for training.
 
-NumPy releases the GIL in its loops and BLAS calls, so the helper keeps a second core
-busy. Two lanes run with at least 2 CPUs and a BLAS pinned to one thread by the
-environment; with one lane the helper's work runs inline, in the same functions."""
+NumPy releases the GIL in its loops and BLAS calls, so the helper thread keeps a
+second core busy with work whose bits do not depend on the thread: evaluation's
+encoder stacks. Training spends much of its time in Python itself (graph building,
+``backward``'s loop), which a thread cannot overlap, so a training function forks
+one ``Worker`` process instead. Two lanes run with at least 2 CPUs and a BLAS
+pinned to one thread by the environment (a BLAS thread pool would not survive the
+fork); with one lane the helper's work runs inline and no worker is forked, in the
+same functions."""
 
+import contextvars
+import ctypes
+import mmap
 import os
+import pickle
+import signal
 from concurrent import futures
+from multiprocessing import Pipe
 
 import numpy as np
+
+from .errors import EmofuseError
 
 
 def _blas_pinned() -> bool:
@@ -24,10 +37,11 @@ helper = futures.ThreadPoolExecutor(1, "emofuse-helper") if _CPUS >= 2 and _blas
 
 
 def submit(fn, *args) -> futures.Future:
-    """``fn(*args)`` on the helper after the work submitted before it, its result or
-    error kept in the future; with one lane, run here and now."""
+    """``fn(*args)`` on the helper after the work submitted before it, in the caller's
+    context (``np.errstate`` included), its result or error kept in the future; with
+    one lane, run here and now."""
     if helper is not None:
-        return helper.submit(fn, *args)
+        return helper.submit(contextvars.copy_context().run, fn, *args)
     done = futures.Future()
     done.set_result(fn(*args))
     return done
@@ -54,3 +68,120 @@ def share(fn, items: list) -> list:
         futures.wait([helping])
     helping.result()
     return results
+
+
+def shared(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Zeroed float64 arrays of ``shapes`` in one anonymous shared mapping: after a
+    fork, this process and the worker each see the other's writes to them in place."""
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    flat = np.frombuffer(mmap.mmap(-1, 8 * max(1, sum(sizes))), np.float64)
+    offsets = np.cumsum([0] + sizes)
+    return [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(offsets, offsets[1:], shapes)]
+
+
+def release_freed() -> None:
+    """Hand the free pages of the C heap back to the system (glibc's ``malloc_trim``),
+    so the arrays a move into ``shared`` views left behind do not count as resident."""
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+        trim(0)
+
+
+def _sendable(err: Exception) -> Exception:
+    """``err`` if it survives pickling, else an EmofuseError with its class and message."""
+    try:
+        pickle.loads(pickle.dumps(err))
+        return err
+    except Exception:
+        return EmofuseError(f"{type(err).__name__}: {err}")
+
+
+def _serve(conn, handle):
+    """The worker's life: ``handle(message, conn)`` for each message until the parent
+    closes its end. An error is sent back in place of the handler's next message.
+
+    It ends in ``os._exit``, whatever happens: nothing unwinds into the frames it
+    shares with the parent, and no atexit handler or buffered output of the parent's
+    runs twice."""
+    global helper
+    helper = None  # its thread did not survive the fork
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles an interrupt and ends this
+    code = 1
+    try:
+        while True:
+            message = conn.recv()
+            try:
+                handle(message, conn)
+            except (EOFError, BrokenPipeError, ConnectionResetError):
+                raise
+            except Exception as err:
+                conn.send(("error", _sendable(err)))
+    except (EOFError, BrokenPipeError, ConnectionResetError):  # the parent is done or gone
+        code = 0
+    finally:
+        os._exit(code)
+
+
+class Worker:
+    """A forked copy of this process that runs ``handle(message, conn)`` for each message
+    sent to it, ``conn`` being its end of the pipe.
+
+    Only what was mapped with ``shared`` before the fork is shared; everything else is
+    the worker's own copy. Messages are tuples; ``recv`` raises an error the worker
+    sent back with its class and message, and an EmofuseError naming the worker when
+    it is gone. ``close`` ends and reaps it. Create one only while the helper thread
+    is idle: the fork copies no thread but the caller's, and a lock another thread
+    held would stay held in the copy.
+    """
+
+    def __init__(self, handle):
+        self._conn, theirs = Pipe()
+        self._status = None
+        try:
+            self.pid = os.fork()
+        except OSError as err:
+            self._conn.close()
+            theirs.close()
+            raise EmofuseError(f"cannot start a training worker process: {err}") from None
+        if self.pid == 0:
+            self._conn.close()
+            _serve(theirs, handle)
+        theirs.close()
+
+    def send(self, *message) -> None:
+        try:
+            self._conn.send(message)
+        except (BrokenPipeError, ConnectionResetError):
+            raise self._lost() from None
+
+    def poll(self) -> bool:
+        """Whether ``recv`` would return or raise at once."""
+        return self._conn.poll()
+
+    def recv(self) -> tuple:
+        try:
+            message = self._conn.recv()
+        except (EOFError, ConnectionResetError):
+            raise self._lost() from None
+        if message[0] == "error":
+            raise message[1]
+        return message
+
+    def close(self, kill: bool = False) -> None:
+        """End the worker: it exits when its pipe closes, or at once with ``kill``; reap it."""
+        self._conn.close()
+        if kill and self._status is None:
+            os.kill(self.pid, signal.SIGKILL)
+        self._reap()
+
+    def _reap(self) -> int:
+        if self._status is None:
+            self._status = os.waitpid(self.pid, 0)[1]
+        return self._status
+
+    def _lost(self) -> EmofuseError:
+        status = self._reap()
+        how = (f"was killed by signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
+               else f"exited with status {os.WEXITSTATUS(status)}")
+        return EmofuseError(f"training worker process {self.pid} {how}")

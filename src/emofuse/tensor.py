@@ -416,12 +416,14 @@ def l1_loss(pred: Tensor, target) -> Tensor:
     return _result("l1_loss", out, (pred,), vjp)
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, add_leaf: Callable[[Tensor, Array], None] | None = None) -> None:
     """Populate grads of every requires_grad leaf reachable from a scalar loss.
 
     Gradients accumulate across calls; clear them between steps with
     zero_grads(). The traversal is iterative, so graph depth is not limited
-    by the interpreter recursion limit.
+    by the interpreter recursion limit. ``add_leaf(leaf, g)``, when given, takes
+    each leaf's gradient in place of that accumulation; ``g`` may be shared with
+    other leaves or graph arrays, so it is only to be read.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -449,7 +451,9 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         if node.op is None:
-            if node.requires_grad:
+            if node.requires_grad and add_leaf is not None:
+                add_leaf(node, g)
+            elif node.requires_grad:
                 if node.grad is None:
                     node.grad = np.zeros_like(node.data)
                 node.grad = node.grad + g

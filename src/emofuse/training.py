@@ -4,7 +4,9 @@ Every optimizer step of every loop (pretraining, the overfit diagnostic and
 fine-tuning) goes through ``_update``, the one home of the gradient
 accumulation invariant: batch gradients are the per-example gradients summed
 in dataset order and divided once by the batch size, so how an effective
-batch is factored into microbatches cannot change the result, bitwise.
+batch is factored into microbatches cannot change the result, bitwise. On two
+lanes a forked worker runs every other example and half of each Adam step
+(``_Training``), with the same bits.
 Frozen components run in eval mode (acting purely as feature extractors) and
 their outputs are computed once per distinct token sequence and cached.
 """
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import lanes
 from . import tensor as T
 from .encoder import EncoderState, forward, forward_many, mask_corrupt, masked_lm_loss
 from .errors import ConfigError, InputError, NumericError, UsageError
@@ -115,13 +118,16 @@ def adam_step(
     opt: AdamState,
     lr: float,
     cfg: TrainConfig,
+    worker: lanes.Worker | None = None,
 ) -> None:
     """Standard bias-corrected Adam update of the moments and ``p.data``, in place.
 
     Each elementwise operation of ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps)``
     runs in the textbook order, so the result is bitwise that formula's; two
     scratch arrays per parameter stand in for its fourteen temporaries. Every
-    gradient is checked before anything changes.
+    gradient is checked before anything changes. A training ``worker`` whose
+    parameters, gradients and moments are these, in shared mappings, updates the
+    second half of the parameters meanwhile; elementwise, the split changes no bit.
     """
     if not lr >= 0.0:
         raise UsageError(f"learning rate must be non-negative, got {lr}")
@@ -129,10 +135,23 @@ def adam_step(
         if not np.isfinite(grads[name]).all():
             raise NumericError(f"non-finite (NaN or inf) gradient for parameter {name!r}")
     opt.step += 1
-    bc1 = 1.0 - cfg.beta1 ** opt.step
-    bc2 = 1.0 - cfg.beta2 ** opt.step
-    for name, p in params.items():
-        g = grads[name]
+    names = list(params)
+    cut = len(names)
+    if worker is not None:
+        sizes = np.cumsum([params[name].size for name in names])
+        cut = int(np.searchsorted(sizes, sizes[-1] / 2))
+        worker.send("adam", names[cut:], lr, opt.step, cfg)
+    _adam_update(params, grads, opt, names[:cut], lr, opt.step, cfg)
+    if worker is not None:
+        _expect(worker.recv(), "done")
+
+
+def _adam_update(params, grads, opt, names, lr, step, cfg) -> None:
+    """``adam_step``'s update of the parameters ``names`` at Adam step ``step``."""
+    bc1 = 1.0 - cfg.beta1 ** step
+    bc2 = 1.0 - cfg.beta2 ** step
+    for name in names:
+        p, g = params[name], grads[name]
         m, v = opt.m[name], opt.v[name]
         scratch, update = np.empty_like(m), np.empty_like(m)
         np.multiply(g, 1.0 - cfg.beta1, out=scratch)
@@ -166,10 +185,10 @@ def _clipped(grads: dict[str, np.ndarray], clip: float | None) -> dict[str, np.n
 def collect_gradients(params: dict[str, T.Tensor], batch_size: int) -> dict[str, np.ndarray]:
     """Accumulated gradients divided once by the batch size, in place.
 
-    The returned arrays are the parameters' own ``grad`` arrays. Backward
-    gives each leaf a fresh array per accumulation (``grad + g``), so
-    nothing else refers to them and dividing in place is safe; the next
-    ``zero_grads`` drops them.
+    The returned arrays are the parameters' own ``grad`` arrays: the accumulators
+    of a training loop, or fresh arrays after backward's ``grad + g``; nothing else
+    refers to either, so dividing in place is safe. A parameter without a gradient
+    gets zeros.
     """
     out = {}
     for name, p in params.items():
@@ -181,21 +200,161 @@ def collect_gradients(params: dict[str, T.Tensor], batch_size: int) -> dict[str,
     return out
 
 
-def _update(params, losses, batch_size: int, opt: AdamState, lr: float, cfg: TrainConfig,
-            total: float = 0.0) -> float:
-    """One optimizer step over a batch; returns ``total`` plus the batch's losses.
+def _expect(message: tuple, kind: str) -> tuple:
+    """The fields of a lane message of ``kind``."""
+    if message[0] != kind:
+        raise UsageError(f"expected a {kind!r} message from the other lane, got {message[0]!r}")
+    return message[1:]
 
-    ``losses`` yields one example's loss at a time and each is backpropagated
-    before the next is built, so one autodiff graph is alive at a time. Each
-    loss is added to ``total`` in turn, so a running epoch sum passed in keeps
-    its example-by-example order, bitwise.
+
+def _arrival(link, kind: str):
+    """An ``arrived`` for ``_backward``: whether ``link``'s next message, of ``kind``,
+    has come, waiting for it when asked to block."""
+    def arrived(block: bool) -> bool:
+        if block or link.poll():
+            _expect(link.recv(), kind)
+            return True
+        return False
+
+    return arrived
+
+
+def _backward(loss: T.Tensor, arrived=None) -> None:
+    """Backpropagate one example's loss, adding each leaf's gradient into ``leaf.grad``,
+    the batch's accumulator, in place: ``grad += g`` keeps the bits of ``grad + g``.
+
+    ``arrived(block)`` tells, waiting for it with ``block``, whether the example before
+    this one has added its gradient; the leaves reached before that are held and
+    added after it, so gradients enter in example order while the passes overlap.
+    Without ``arrived`` it has.
     """
-    T.zero_grads(params.values())
-    for loss in losses:
-        T.backward(loss)
-        total += loss.item()
-    grads = _clipped(collect_gradients(params, batch_size), cfg.grad_clip)
-    adam_step(params, grads, opt, lr, cfg)
+    held = []
+    ready = arrived is None
+
+    def add(leaf, g):
+        nonlocal ready
+        ready = ready or arrived(False)
+        if ready:
+            leaf.grad += g
+        else:
+            held.append((leaf, g))
+
+    T.backward(loss, add_leaf=add)
+    if not ready:
+        arrived(True)
+    for leaf, g in held:
+        leaf.grad += g
+
+
+class _Training:
+    """What every optimizer step of one training loop shares: the trainable ``params``,
+    their Adam state, the run's generator, and ``example_loss(index, rng)``, which
+    builds the loss of example ``index`` drawing its randomness from ``rng``.
+
+    Each parameter's ``grad`` is the batch's gradient accumulator for the whole loop.
+    On two lanes the parameters, accumulators and moments move into shared mappings
+    and a forked worker runs every other example of each batch (see ``_update``) and
+    half of each Adam step; entered and left with ``with``, so no worker outlives it.
+    """
+
+    def __init__(self, params: dict[str, T.Tensor], opt: AdamState, example_loss, rng):
+        self.params, self.opt, self.example_loss, self.rng = params, opt, example_loss, rng
+        self.worker: lanes.Worker | None = None
+        if lanes.helper is None:
+            for p in params.values():
+                p.grad = np.zeros_like(p.data)
+            return
+        shapes = [p.data.shape for p in params.values()]
+        moments = [(table, name) for table in (opt.m, opt.v) for name in table]
+        views = iter(lanes.shared(shapes * 2 + [table[name].shape for table, name in moments]))
+        # Each old array is dropped as soon as it is copied, and its pages handed back.
+        for p, view in zip(params.values(), views):
+            np.copyto(view, p.data)
+            p.data = view
+        for p, view in zip(params.values(), views):
+            p.grad = view
+        for (table, name), view in zip(moments, views):
+            np.copyto(view, table[name])
+            table[name] = view
+        lanes.release_freed()
+
+    def __enter__(self) -> "_Training":
+        if lanes.helper is not None:
+            self.worker = lanes.Worker(self._serve)
+        return self
+
+    def __exit__(self, kind, err, tb) -> None:
+        if self.worker is not None:
+            self.worker.close(kill=kind is not None)  # after an error it may be mid-example
+            self.worker = None
+        T.zero_grads(self.params.values())
+
+    def rng_state(self):
+        return None if self.rng is None else self.rng.bit_generator.state
+
+    def forward(self, index, state=None) -> T.Tensor:
+        """Example ``index``'s loss, from generator ``state`` when given."""
+        if state is not None:
+            self.rng.bit_generator.state = state
+        return self.example_loss(index, self.rng)
+
+    def _serve(self, message: tuple, conn) -> None:
+        """The worker's side: an example of ``_update``, or its half of ``adam_step``."""
+        kind, *args = message
+        if kind == "example":
+            loss = self.forward(*args)
+            conn.send(("forward", loss.item(), self.rng_state()))
+            _backward(loss, _arrival(conn, "turn"))
+            conn.send(("added",))
+        elif kind == "adam":
+            names, lr, step, cfg = args
+            _adam_update(self.params, {n: self.params[n].grad for n in names}, self.opt,
+                         names, lr, step, cfg)
+            conn.send(("done",))
+        else:
+            raise UsageError(f"unknown lane message {kind!r}")
+
+
+def _update(run: _Training, indices, lr: float, cfg: TrainConfig, total: float = 0.0) -> float:
+    """One optimizer step over the examples ``indices``; returns ``total`` plus their losses.
+
+    Each example's loss is built and backpropagated before this lane builds its next,
+    so one autodiff graph is alive at a time per lane. Gradients enter the
+    accumulators in example order and each loss is added to ``total`` in turn, so the
+    batch gradient and a running epoch sum passed in keep their order, bitwise.
+
+    On two lanes the worker takes the odd positions. Example k's forward starts from
+    the generator state example k-1's forward left, handed across with the example,
+    so every draw is the one a single lane makes; the lane that ran a forward runs its
+    backward, overlapping the other lane's forward.
+    """
+    worker, n = run.worker, len(indices)
+    losses = [0.0] * n
+    for p in run.params.values():
+        p.grad.fill(0.0)
+    for k in range(0, n, 1 if worker is None else 2):
+        after_worker = worker is not None and k > 0  # it ran example k - 1
+        state = None
+        if after_worker:
+            losses[k - 1], state = _expect(worker.recv(), "forward")
+        loss = run.forward(indices[k], state)
+        losses[k] = loss.item()
+        before_worker = worker is not None and k + 1 < n
+        if before_worker:
+            worker.send("example", indices[k + 1], run.rng_state())
+        _backward(loss, _arrival(worker, "added") if after_worker else None)
+        del loss
+        if before_worker:
+            worker.send("turn")
+    if worker is not None and n % 2 == 0:
+        losses[n - 1], state = _expect(worker.recv(), "forward")
+        if state is not None:
+            run.rng.bit_generator.state = state
+        _expect(worker.recv(), "added")
+    for value in losses:
+        total += value
+    grads = _clipped(collect_gradients(run.params, n), cfg.grad_clip)
+    adam_step(run.params, grads, run.opt, lr, cfg, worker=worker)
     return total
 
 
@@ -213,30 +372,32 @@ def run_pretraining(
     Every step samples batch_size sequences with replacement, corrupts them,
     and applies one Adam update at the scheduled rate. The first logged loss
     is evaluated before any update, so an untrained model logs roughly
-    ln(vocab_size). Passing the returned AdamState and step back in resumes
-    exactly.
+    ln(vocab_size). Passing an AdamState and its step back in continues the
+    moments, the step counter and the schedule, but not the random stream: the
+    generator restarts from ``cfg.seed``, so a resumed run draws other batches,
+    masks and dropout than an uninterrupted one, and ends elsewhere.
     """
     if not corpus:
         raise InputError("pretraining corpus is empty")
     cfg = cfg.resolved()
     rng = np.random.default_rng(cfg.seed)
-    params = state.params
     if opt is None:
-        opt = AdamState.fresh(params)
+        opt = AdamState.fresh(state.params)
         opt.step = start_step
+
+    def example_loss(i, rng):
+        corrupted, targets = mask_corrupt(corpus[i], mask_rate, rng, state.cfg.vocab_size)
+        return masked_lm_loss(state, corrupted, targets, train_mode=True, rng=rng)
+
     losses: list[float] = []
-    for step in range(start_step + 1, cfg.total_steps + 1):
-        idx = rng.integers(0, len(corpus), size=cfg.batch_size)
-        batch_losses = (
-            masked_lm_loss(state, *mask_corrupt(corpus[i], mask_rate, rng, state.cfg.vocab_size),
-                           train_mode=True, rng=rng)
-            for i in idx)
-        lr = lr_at(step, cfg)
-        mean_loss = _update(params, batch_losses, cfg.batch_size, opt, lr, cfg) / cfg.batch_size
-        losses.append(mean_loss)
-        if log_fn is not None:
-            log_fn(step, lr, mean_loss)
-    T.zero_grads(params.values())
+    with _Training(state.params, opt, example_loss, rng) as run:
+        for step in range(start_step + 1, cfg.total_steps + 1):
+            idx = rng.integers(0, len(corpus), size=cfg.batch_size)
+            lr = lr_at(step, cfg)
+            mean_loss = _update(run, idx, lr, cfg) / cfg.batch_size
+            losses.append(mean_loss)
+            if log_fn is not None:
+                log_fn(step, lr, mean_loss)
     return losses
 
 
@@ -261,11 +422,10 @@ def overfit_one_batch(
     fixed = [mask_corrupt(seq, mask_rate, rng, state.cfg.vocab_size) for seq in batch]
     opt = AdamState.fresh(state.params)
     losses: list[float] = []
-    for step in range(1, cfg.total_steps + 1):
-        batch_losses = (masked_lm_loss(state, corrupted, targets) for corrupted, targets in fixed)
-        total = _update(state.params, batch_losses, len(batch), opt, lr_at(step, cfg), cfg)
-        losses.append(total / len(batch))
-    T.zero_grads(state.params.values())
+    with _Training(state.params, opt, lambda k, _: masked_lm_loss(state, *fixed[k]), None) as run:
+        for step in range(1, cfg.total_steps + 1):
+            total = _update(run, range(len(batch)), lr_at(step, cfg), cfg)
+            losses.append(total / len(batch))
     return losses
 
 
@@ -416,33 +576,32 @@ def run_finetune(
     best_arrays = {n: np.empty_like(p.data) for n, p in trainable.items()} if valid else {}
     step = 0
 
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(train))
-        epoch_loss = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [train[i] for i in order[start : start + cfg.batch_size]]
-            batch_losses = (
-                _example_loss(model, ex, label_mode, True, rng, caches)
-                for ex in batch)
-            step = min(step + 1, cfg.total_steps)
-            epoch_loss = _update(trainable, batch_losses, len(batch), opt, lr_at(step, cfg), cfg,
-                                 total=epoch_loss)
-        T.zero_grads(trainable.values())
-        history.append({"epoch": epoch, "split": "train", "metric": "loss",
-                        "value": epoch_loss / len(train)})
-        report = evaluate_model(model, valid, label_mode, caches=caches) if valid else None
-        if report is not None:
-            if label_mode == "categorical":
-                metric_name, value, better = "accuracy4", report.accuracy4, lambda a, b: a > b
-            else:
-                metric_name, value, better = "mae", report.mae, lambda a, b: a < b
-            history.append({"epoch": epoch, "split": "valid", "metric": metric_name,
-                            "value": value})
-            if best_metric is None or better(value, best_metric):
-                best_metric = value
-                best_epoch = epoch
-                for name, p in trainable.items():
-                    np.copyto(best_arrays[name], p.data)
+    def example_loss(i, rng):
+        return _example_loss(model, train[i], label_mode, True, rng, caches)
+
+    with _Training(trainable, opt, example_loss, rng) as run:
+        for epoch in range(1, epochs + 1):
+            order = rng.permutation(len(train))
+            epoch_loss = 0.0
+            for start in range(0, len(order), cfg.batch_size):
+                step = min(step + 1, cfg.total_steps)
+                epoch_loss = _update(run, order[start : start + cfg.batch_size],
+                                     lr_at(step, cfg), cfg, total=epoch_loss)
+            history.append({"epoch": epoch, "split": "train", "metric": "loss",
+                            "value": epoch_loss / len(train)})
+            report = evaluate_model(model, valid, label_mode, caches=caches) if valid else None
+            if report is not None:
+                if label_mode == "categorical":
+                    metric_name, value, better = "accuracy4", report.accuracy4, lambda a, b: a > b
+                else:
+                    metric_name, value, better = "mae", report.mae, lambda a, b: a < b
+                history.append({"epoch": epoch, "split": "valid", "metric": metric_name,
+                                "value": value})
+                if best_metric is None or better(value, best_metric):
+                    best_metric = value
+                    best_epoch = epoch
+                    for name, p in trainable.items():
+                        np.copyto(best_arrays[name], p.data)
 
     for name, arr in best_arrays.items():
         trainable[name].data = arr

@@ -4,6 +4,9 @@ import argparse
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -603,6 +606,26 @@ def test_dataset_unfit_for_command_exits_2_naming_files(workspace, tmp_path, cap
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert all(name in err for name in names) and "Traceback" not in err
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("pin", [False, True], ids=["one-lane", "blas-pinned"])
+def test_numeric_failure_prints_only_its_message(workspace, tmp_path, pin):
+    """NumPy's overflow warnings stay off stderr, from the worker process too: with BLAS
+    pinned on two or more CPUs, training runs on two lanes."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src"),
+                                         env.get("PYTHONPATH", "")])
+    if pin:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+    argv = [*_training_argv(workspace, "finetune", tmp_path / "out"), "--lr", "1e308"]
+    proc = subprocess.run([sys.executable, "-m", "emofuse.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3
+    assert proc.stderr == "numeric error: softmax_rows: NaN or +inf in input\n"
+    assert not (tmp_path / "out" / "model.ckpt").exists()
 
 
 class TestExitCodesAndHelp:

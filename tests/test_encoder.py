@@ -146,6 +146,22 @@ class TestForwardMany:
         assert sorted(shapes) == [(1, 4), (1, 6), (2, 2), (2, 4)]
         assert all(np.array_equal(a.hidden.data, b.hidden.data) for a, b in zip(split, whole))
 
+    def test_duplicates_run_once_and_share_their_row(self, monkeypatch):
+        state = randomize_state(tiny_state(), np.random.default_rng(4))
+        bodies = [*self.BODIES, *self.BODIES[::2], self.BODIES[1]]
+        seqs = [make_seq(body) for body in bodies]
+        rows = []
+        body = encoder._body
+        monkeypatch.setattr(encoder, "_body",
+                            lambda ids, *a, **k: rows.extend(map(tuple, ids)) or body(ids, *a, **k))
+        outs = forward_many(seqs, state)
+        monkeypatch.undo()
+        assert sorted(rows) == sorted({seq.ids for seq in seqs})  # each distinct one, once
+        for seq, out in zip(seqs, outs):
+            assert np.array_equal(out.hidden.data, forward(seq, state).hidden.data)
+            twin = outs[next(i for i, s in enumerate(seqs) if s.ids == seq.ids)]
+            assert out.hidden.data is twin.hidden.data
+
     def test_records_no_graph_and_recording_resumes(self):
         state = tiny_state()
         outs = forward_many([make_seq(body) for body in self.BODIES], state)

@@ -1,8 +1,9 @@
-"""The helper lane: one lane or two give the same bits, and no helper work
-outlives an error."""
+"""The second lane: one lane or two give the same bits, and no helper work or
+training worker outlives its call, an error or an interrupt."""
 
 import functools
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -11,9 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emofuse import encoder, lanes, training
+from emofuse import encoder, lanes, tensor, training
 from emofuse.cli import main
-from emofuse.data import HEAD_OUTPUTS, TokenizedExample, generate_synthetic, tokenize_examples
+from emofuse.data import (
+    HEAD_OUTPUTS,
+    TokenizedExample,
+    generate_synthetic,
+    load_jsonl,
+    tokenize_examples,
+)
 from emofuse.encoder import EncoderConfig, EncoderState
 from emofuse.errors import NumericError
 from emofuse.fusion import FusionModel
@@ -35,12 +42,51 @@ TINY = EncoderConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32,
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def across_lanes(set_lanes, run):
-    """``run()`` on one lane, then on two."""
+@pytest.fixture
+def workers(monkeypatch):
+    """The training workers forked during the test, recorded by pid. Setting its
+    ``kill_after`` SIGKILLs a worker as it is handed that many examples."""
+
+    class Forked(list):
+        kill_after = None
+
+    forked = Forked()
+
+    class Recorded(lanes.Worker):
+        def __init__(self, handle):
+            super().__init__(handle)
+            forked.append(self.pid)
+            self.examples = 0
+
+        def send(self, *message):
+            if message[0] == "example":
+                self.examples += 1
+                if self.examples == forked.kill_after:
+                    os.kill(self.pid, signal.SIGKILL)
+            super().send(*message)
+
+    monkeypatch.setattr(lanes, "Worker", Recorded)
+    return forked
+
+
+def assert_reaped(pids):
+    """Every pid is a child this process has already waited for: none remains."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def across_lanes(set_lanes, run, workers=None):
+    """``run()`` on one lane, then on two; with ``workers``, two lanes fork one
+    training worker per run and reap it."""
     results = []
     for n in (1, 2):
         set_lanes(n)
+        runs = len(workers) if workers is not None else 0
         results.append(run())
+        if workers is not None:
+            assert len(workers) > runs if n == 2 else len(workers) == runs
+            assert_reaped(workers)
     return results
 
 
@@ -61,12 +107,15 @@ def splits(label_mode):
     return tok, 5 + cb.k, vocab.size
 
 
-@pytest.mark.parametrize("kind, frozen, label_mode", [
-    ("coattn", None, "categorical"),
-    ("shallow", "speech", "categorical"),
-    ("coattn", None, "score"),
+@pytest.mark.parametrize("kind, frozen, label_mode, batch_size, grad_clip", [
+    ("coattn", None, "categorical", 4, None),
+    ("shallow", "speech", "categorical", 4, None),
+    ("coattn", None, "score", 4, None),
+    ("coattn", None, "categorical", 7, 0.05),  # 24 = 3 x 7 + 3: an odd last batch
+    ("shallow", None, "categorical", 1, None),
 ])
-def test_run_finetune_bitwise_across_lanes(set_lanes, kind, frozen, label_mode):
+def test_run_finetune_bitwise_across_lanes(set_lanes, workers, kind, frozen, label_mode,
+                                           batch_size, grad_clip):
     tok, speech_vocab, text_vocab = splits(label_mode)
 
     def run():
@@ -74,13 +123,15 @@ def test_run_finetune_bitwise_across_lanes(set_lanes, kind, frozen, label_mode):
             kind, EncoderConfig(1, 16, 2, 32, speech_vocab, 64, dropout_rate=0.1),
             EncoderConfig(1, 16, 2, 32, text_vocab, 16, dropout_rate=0.1),
             HEAD_OUTPUTS[label_mode], 2, np.random.default_rng(4), fusion_dropout=0.1)
-        cfg = TrainConfig(peak_lr=3e-3, batch_size=4, seed=4, freeze_speech=frozen == "speech")
+        cfg = TrainConfig(peak_lr=3e-3, batch_size=batch_size, seed=4, grad_clip=grad_clip,
+                          freeze_speech=frozen == "speech")
         result = run_finetune(tok["train"], tok["valid"], model, cfg, epochs=2,
                               label_mode=label_mode)
         params = {n: p.data.copy() for n, p in model.named_params().items()}
         return params, result.optimizer, result.history, result.best_epoch
 
-    (params1, opt1, hist1, best1), (params2, opt2, hist2, best2) = across_lanes(set_lanes, run)
+    (params1, opt1, hist1, best1), (params2, opt2, hist2, best2) = across_lanes(
+        set_lanes, run, workers)
     assert_same_arrays(params1, params2)
     assert_same_arrays(opt1.m, opt2.m)
     assert_same_arrays(opt1.v, opt2.v)
@@ -94,29 +145,57 @@ def corpus():
             for n in (3, 8, 5, 8, 9)]
 
 
-def test_run_pretraining_bitwise_across_lanes(set_lanes):
+@pytest.mark.parametrize("start_step", [0, 3])
+def test_run_pretraining_bitwise_across_lanes(set_lanes, workers, start_step):
     def run():
         state = EncoderState.init(TINY, np.random.default_rng(0))
         opt = AdamState.fresh(state.params)
-        cfg = TrainConfig(peak_lr=1e-3, warmup_steps=2, total_steps=6, batch_size=3, seed=5)
-        losses = run_pretraining(corpus(), state, cfg, opt=opt)
-        return {n: p.data.copy() for n, p in state.params.items()}, opt, losses
+        opt.step = start_step
+        cfg = TrainConfig(peak_lr=1e-3, warmup_steps=2, total_steps=8, batch_size=3, seed=5)
+        log = []
+        losses = run_pretraining(corpus(), state, cfg, opt=opt, start_step=start_step,
+                                 log_fn=lambda *entry: log.append(entry))
+        return {n: p.data.copy() for n, p in state.params.items()}, opt, losses, log
 
-    (params1, opt1, losses1), (params2, opt2, losses2) = across_lanes(set_lanes, run)
-    assert losses1 == losses2
+    (params1, opt1, losses1, log1), (params2, opt2, losses2, log2) = across_lanes(
+        set_lanes, run, workers)
+    assert losses1 == losses2 and log1 == log2 and len(log1) == 8 - start_step
     assert_same_arrays(params1, params2)
     assert_same_arrays(opt1.m, opt2.m)
     assert_same_arrays(opt1.v, opt2.v)
 
 
-def test_overfit_one_batch_bitwise_across_lanes(set_lanes):
+def test_gradients_wait_for_their_turn_when_the_parent_lags(set_lanes, workers, monkeypatch):
+    """With the parent's backwards slowed, the worker's examples finish first; their
+    gradients must still enter after the parent's earlier ones."""
+    parent, backward = os.getpid(), tensor.backward
+
+    def slow_here(*args, **kwargs):
+        if os.getpid() == parent:
+            time.sleep(0.02)
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(tensor, "backward", slow_here)
+
+    def run():
+        state = EncoderState.init(TINY, np.random.default_rng(1))
+        cfg = TrainConfig(peak_lr=1e-2, warmup_steps=1, total_steps=3, batch_size=6, seed=7)
+        run_pretraining(corpus(), state, cfg)
+        return {n: p.data.copy() for n, p in state.params.items()}
+
+    one, two = across_lanes(set_lanes, run, workers)
+    assert_same_arrays(one, two)
+
+
+@pytest.mark.parametrize("size", [1, 4, 5])
+def test_overfit_one_batch_bitwise_across_lanes(set_lanes, workers, size):
     def run():
         state = EncoderState.init(TINY, np.random.default_rng(0))
         cfg = TrainConfig(peak_lr=3e-3, warmup_steps=2, total_steps=6, batch_size=4)
-        losses = overfit_one_batch(state, corpus()[:4], cfg, seed=2)
+        losses = overfit_one_batch(state, corpus()[:size], cfg, seed=2)
         return {n: p.data.copy() for n, p in state.params.items()}, losses
 
-    (params1, losses1), (params2, losses2) = across_lanes(set_lanes, run)
+    (params1, losses1), (params2, losses2) = across_lanes(set_lanes, run, workers)
     assert losses1 == losses2
     assert_same_arrays(params1, params2)
 
@@ -190,16 +269,32 @@ def _child_env(pin: bool) -> dict:
     return dict(env, OPENBLAS_NUM_THREADS="1") if pin else env
 
 
-def test_finetune_with_blas_pinned_writes_the_same_model(tmp_path):
-    work = str(tmp_path)
+ARCH = [f"--{m}-{flag}={value}" for m in ("speech", "text")
+        for flag, value in (("layers", 1), ("dim", 16), ("heads", 2), ("ff", 32))]
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    """A 40-example dataset with its vocabulary and codebook; the CLI inputs to read them."""
+    work = tmp_path_factory.mktemp("lanes")
     inputs = [f"--dataset={work}/dataset.jsonl", f"--vocab={work}/vocab.txt",
               f"--codebook={work}/codebook.bin"]
     assert main(["gen-data", "--n=40", "--seed=0", f"--out-dir={work}"]) == 0
     assert main(["prepare", inputs[0], "--vocab-size=64", "--codebook-size=8", "--seed=0",
                  f"--out-dir={work}"]) == 0
-    arch = [f"--{m}-{flag}={value}" for m in ("speech", "text")
-            for flag, value in (("layers", 1), ("dim", 16), ("heads", 2), ("ff", 32))]
-    models = []
+    return work, inputs
+
+
+def finetune_argv(inputs, out):
+    return ["finetune", *inputs, *ARCH, "--fusion=coattn", "--epochs=2", "--batch-size=4",
+            "--seed=1", f"--out-dir={out}"]
+
+
+def test_finetune_with_blas_pinned_writes_the_same_model(workspace, tmp_path):
+    """Subprocess `finetune` and `pretrain` runs with and without BLAS pinned (two lanes
+    and one, on two or more CPUs) write the same bytes."""
+    work, inputs = workspace
+    outputs = []
     for pin in (False, True):
         env = _child_env(pin)
         lanes_used = subprocess.run(
@@ -207,9 +302,67 @@ def test_finetune_with_blas_pinned_writes_the_same_model(tmp_path):
             env=env, capture_output=True, text=True, check=True).stdout.strip()
         assert lanes_used == ("2" if pin and lanes._CPUS >= 2 else "1")
         out = tmp_path / f"pin{int(pin)}"
-        subprocess.run([sys.executable, "-m", "emofuse.cli", "finetune", *inputs, *arch,
-                        "--fusion=coattn", "--epochs=2", "--batch-size=4", "--seed=1",
-                        f"--out-dir={out}"], env=env, check=True, capture_output=True,
-                       timeout=300)
-        models.append((out / "model.ckpt").read_bytes())
-    assert models[0] == models[1]
+        for argv in (finetune_argv(inputs, out),
+                     ["pretrain", inputs[0], inputs[2], *ARCH[:4], "--steps=6", "--batch-size=3",
+                      "--checkpoint-interval=2", "--seed=1", f"--out-dir={out}"]):
+            subprocess.run([sys.executable, "-m", "emofuse.cli", *argv], env=env, check=True,
+                           capture_output=True, timeout=300)
+        outputs.append([(out / name).read_bytes()
+                        for name in ("model.ckpt", "speech_encoder.ckpt", "pretrain.log")])
+    assert outputs[0] == outputs[1]
+
+
+def test_numeric_error_in_the_worker_exits_3_like_one_lane(set_lanes, workers, workspace,
+                                                          tmp_path, monkeypatch, capsys):
+    work, inputs = workspace
+    train = [ex.id for ex in load_jsonl(f"{work}/dataset.jsonl").subset("train")]
+    # Position 1 of the first batch: the worker's example on two lanes (finetune --seed=1).
+    bad = train[np.random.default_rng(1).permutation(len(train))[1]]
+    seen = []
+    example_loss = training._example_loss
+
+    def failing(model, ex, *rest):
+        seen.append(ex.id)
+        if ex.id == bad:
+            raise NumericError(f"example {bad} went non-finite")
+        return example_loss(model, ex, *rest)
+
+    monkeypatch.setattr(training, "_example_loss", failing)
+    results = []
+    for n in (1, 2):
+        set_lanes(n)
+        seen.clear()
+        capsys.readouterr()
+        results.append((main(finetune_argv(inputs, tmp_path / str(n))), capsys.readouterr().err))
+    assert results[0] == results[1] == (3, f"numeric error: example {bad} went non-finite\n")
+    assert bad not in seen  # on two lanes the worker raised it
+    assert len(workers) == 1
+    assert_reaped(workers)
+    assert not any(tmp_path.rglob("model.ckpt"))
+
+
+def test_killed_worker_exits_2_naming_it(set_lanes, workers, workspace, tmp_path, capsys):
+    _, inputs = workspace
+    set_lanes(2)
+    workers.kill_after = 3
+    capsys.readouterr()
+    assert main(finetune_argv(inputs, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: training worker process {workers[0]} was killed by signal 9\n"
+    assert_reaped(workers)
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_interrupt_in_the_parent_reaps_the_worker(set_lanes, workers):
+    set_lanes(2)
+
+    def interrupt(step, lr, loss):
+        if step == 2:
+            raise KeyboardInterrupt
+
+    state = EncoderState.init(TINY, np.random.default_rng(0))
+    cfg = TrainConfig(peak_lr=1e-3, warmup_steps=2, total_steps=8, batch_size=3, seed=5)
+    with pytest.raises(KeyboardInterrupt):
+        run_pretraining(corpus(), state, cfg, log_fn=interrupt)
+    assert len(workers) == 1
+    assert_reaped(workers)

@@ -234,6 +234,31 @@ class TestPretraining:
             opt=opt, start_step=10)
         assert opt.step == 14 and len(more) == 4
 
+    @pytest.mark.xfail(strict=True, reason="the generator restarts from cfg.seed on resume, "
+                                           "so the resumed steps draw other batches and masks")
+    def test_resume_from_a_mid_run_copy_matches_the_straight_run(self, rng):
+        corpus = tiny_corpus(rng)
+        cfg = TrainConfig(peak_lr=1e-3, warmup_steps=2, total_steps=8, batch_size=2, seed=5)
+        state = EncoderState.init(TINY, np.random.default_rng(0))
+        opt = AdamState.fresh(state.params)
+        saved = {}
+
+        def keep_step_4(step, lr, loss):
+            if step == 4:
+                saved.update(params=copy_arrays(state), step=opt.step,
+                             m={n: a.copy() for n, a in opt.m.items()},
+                             v={n: a.copy() for n, a in opt.v.items()})
+
+        straight = run_pretraining(corpus, state, cfg, log_fn=keep_step_4, opt=opt)
+        resumed_state = EncoderState.init(TINY, None)
+        for name, p in resumed_state.params.items():
+            p.data = saved["params"][name]
+        resumed_opt = AdamState(saved["m"], saved["v"], step=saved["step"])
+        resumed = run_pretraining(corpus, resumed_state, cfg, opt=resumed_opt, start_step=4)
+        assert resumed == straight[4:]
+        assert all(np.array_equal(p.data, resumed_state.params[n].data)
+                   for n, p in state.params.items())
+
 
 def build_finetune_fixture(n=80, seed=0, d_s=16, d_t=16):
     ds = generate_synthetic(n, seed=seed)
