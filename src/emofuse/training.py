@@ -5,8 +5,9 @@ fine-tuning) goes through ``_update``, the one home of the gradient
 accumulation invariant: batch gradients are the per-example gradients summed
 in dataset order and divided once by the batch size, so how an effective
 batch is factored into microbatches cannot change the result, bitwise. On two
-lanes a forked worker runs every other example and half of each Adam step
-(``_Training``), with the same bits.
+lanes a forked worker runs every other example and half of each step's gradient
+passes and Adam update (``_Training``), with the same bits. Every random draw of a
+loop comes from a generator of the run's seed and a counter (``_generator``).
 Frozen components run in eval mode (acting purely as feature extractors) and
 their outputs are computed once per distinct token sequence and cached.
 """
@@ -112,6 +113,21 @@ class AdamState:
         )
 
 
+def _generator(seed: int, *counters: int) -> np.random.Generator:
+    """The generator of ``(step,)`` or ``(epoch,)`` (a batch draw), ``(step, position)``
+    (one example) or no counter (``default_rng(seed)``'s stream) in a run of ``seed``.
+    The counters are a spawn key, not entropy: entropy is zero-padded, so ``(seed, step)``
+    and ``(seed, step, 0)`` would be one stream."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=counters))
+
+
+def _check_finite(grads: dict[str, np.ndarray]) -> None:
+    """Raise a NumericError naming the first gradient in ``grads`` with a NaN or inf."""
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise NumericError(f"non-finite (NaN or inf) gradient for parameter {name!r}")
+
+
 def adam_step(
     params: dict[str, T.Tensor],
     grads: dict[str, np.ndarray],
@@ -120,39 +136,32 @@ def adam_step(
     cfg: TrainConfig,
     worker: lanes.Worker | None = None,
 ) -> None:
-    """Standard bias-corrected Adam update of the moments and ``p.data``, in place.
+    """Bias-corrected Adam update, in place, of the parameters ``grads`` names.
 
     Each elementwise operation of ``p - lr * (m / bc1) / (sqrt(v / bc2) + eps)``
     runs in the textbook order, so the result is bitwise that formula's; two
     scratch arrays per parameter stand in for its fourteen temporaries. Every
-    gradient is checked before anything changes. A training ``worker`` whose
-    parameters, gradients and moments are these, in shared mappings, updates the
-    second half of the parameters meanwhile; elementwise, the split changes no bit.
+    gradient is checked before anything changes. A training ``worker`` sharing these
+    arrays has checked the gradients of the other half of the parameters, and updates
+    that half meanwhile; elementwise, the split changes no bit.
     """
     if not lr >= 0.0:
         raise UsageError(f"learning rate must be non-negative, got {lr}")
-    for name in params:
-        if not np.isfinite(grads[name]).all():
-            raise NumericError(f"non-finite (NaN or inf) gradient for parameter {name!r}")
+    _check_finite(grads)
     opt.step += 1
-    names = list(params)
-    cut = len(names)
     if worker is not None:
-        sizes = np.cumsum([params[name].size for name in names])
-        cut = int(np.searchsorted(sizes, sizes[-1] / 2))
-        worker.send("adam", names[cut:], lr, opt.step, cfg)
-    _adam_update(params, grads, opt, names[:cut], lr, opt.step, cfg)
+        worker.send("adam", lr, opt.step, cfg)
+    _adam_update(params, grads, opt, lr, opt.step, cfg)
     if worker is not None:
         _expect(worker.recv(), "done")
 
 
-def _adam_update(params, grads, opt, names, lr, step, cfg) -> None:
-    """``adam_step``'s update of the parameters ``names`` at Adam step ``step``."""
+def _adam_update(params, grads, opt, lr, step, cfg) -> None:
+    """``adam_step``'s update of the parameters ``grads`` names, at Adam step ``step``."""
     bc1 = 1.0 - cfg.beta1 ** step
     bc2 = 1.0 - cfg.beta2 ** step
-    for name in names:
-        p, g = params[name], grads[name]
-        m, v = opt.m[name], opt.v[name]
+    for name, g in grads.items():
+        p, m, v = params[name], opt.m[name], opt.v[name]
         scratch, update = np.empty_like(m), np.empty_like(m)
         np.multiply(g, 1.0 - cfg.beta1, out=scratch)
         m *= cfg.beta1
@@ -170,16 +179,9 @@ def _adam_update(params, grads, opt, names, lr, step, cfg) -> None:
         p.data -= update
 
 
-def _clipped(grads: dict[str, np.ndarray], clip: float | None) -> dict[str, np.ndarray]:
-    """Scale ``grads`` in place so their global norm is at most ``clip``."""
-    if clip is None:
-        return grads
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total > clip:
-        factor = clip / total
-        for g in grads.values():
-            g *= factor
-    return grads
+def _squares(grads: dict[str, np.ndarray], clip: float | None) -> list[float]:
+    """Each gradient's squared sum, in order, for the global norm under ``clip``."""
+    return [] if clip is None else [float((g * g).sum()) for g in grads.values()]
 
 
 def collect_gradients(params: dict[str, T.Tensor], batch_size: int) -> dict[str, np.ndarray]:
@@ -207,33 +209,34 @@ def _expect(message: tuple, kind: str) -> tuple:
     return message[1:]
 
 
-def _arrival(link, kind: str):
-    """An ``arrived`` for ``_backward``: whether ``link``'s next message, of ``kind``,
-    has come, waiting for it when asked to block."""
-    def arrived(block: bool) -> bool:
-        if block or link.poll():
-            _expect(link.recv(), kind)
-            return True
-        return False
+class _Turn:
+    """The other lane's message of ``kind`` saying that the example before this one
+    has added its gradient; ``fields`` holds the message's fields once it has come."""
 
-    return arrived
+    def __init__(self, link, kind: str):
+        self.link, self.kind, self.fields = link, kind, None
+
+    def arrived(self, block: bool) -> bool:
+        """Whether the message has come, waiting for it when asked to ``block``."""
+        if self.fields is None and (block or self.link.poll()):
+            self.fields = _expect(self.link.recv(), self.kind)
+        return self.fields is not None
 
 
-def _backward(loss: T.Tensor, arrived=None) -> None:
+def _backward(loss: T.Tensor, turn: _Turn | None = None) -> None:
     """Backpropagate one example's loss, adding each leaf's gradient into ``leaf.grad``,
     the batch's accumulator, in place: ``grad += g`` keeps the bits of ``grad + g``.
 
-    ``arrived(block)`` tells, waiting for it with ``block``, whether the example before
-    this one has added its gradient; the leaves reached before that are held and
-    added after it, so gradients enter in example order while the passes overlap.
-    Without ``arrived`` it has.
+    With a ``turn``, the leaves reached before the example before this one has added
+    its gradient are held and added after it, so gradients enter in example order
+    while the two lanes' passes overlap.
     """
     held = []
-    ready = arrived is None
+    ready = turn is None
 
     def add(leaf, g):
         nonlocal ready
-        ready = ready or arrived(False)
+        ready = ready or turn.arrived(False)
         if ready:
             leaf.grad += g
         else:
@@ -241,42 +244,45 @@ def _backward(loss: T.Tensor, arrived=None) -> None:
 
     T.backward(loss, add_leaf=add)
     if not ready:
-        arrived(True)
+        turn.arrived(True)
     for leaf, g in held:
         leaf.grad += g
 
 
 class _Training:
     """What every optimizer step of one training loop shares: the trainable ``params``,
-    their Adam state, the run's generator, and ``example_loss(index, rng)``, which
-    builds the loss of example ``index`` drawing its randomness from ``rng``.
+    their Adam state, the run's ``seed`` (None for a loss that draws nothing), and
+    ``example_loss(index, rng)``, which builds the loss of example ``index`` drawing
+    its randomness from ``rng``.
 
-    Each parameter's ``grad`` is the batch's gradient accumulator for the whole loop.
-    On two lanes the parameters, accumulators and moments move into shared mappings
-    and a forked worker runs every other example of each batch (see ``_update``) and
-    half of each Adam step; entered and left with ``with``, so no worker outlives it.
+    The parameters, their gradient accumulators (each one's ``grad``) and both moments
+    move into one arena of views in a shared mapping (``lanes.shared``). On two lanes
+    ``halves`` splits the parameters by element count, and a forked worker runs every
+    other example (see ``_update``) and the second half's gradient passes and Adam
+    update; on one lane the first half is all. Entered and left with ``with``, so no
+    worker outlives it.
     """
 
-    def __init__(self, params: dict[str, T.Tensor], opt: AdamState, example_loss, rng):
-        self.params, self.opt, self.example_loss, self.rng = params, opt, example_loss, rng
+    def __init__(self, params: dict[str, T.Tensor], opt: AdamState, example_loss,
+                 seed: int | None):
+        self.params, self.opt, self.example_loss, self.seed = params, opt, example_loss, seed
         self.worker: lanes.Worker | None = None
-        if lanes.helper is None:
-            for p in params.values():
-                p.grad = np.zeros_like(p.data)
-            return
-        shapes = [p.data.shape for p in params.values()]
-        moments = [(table, name) for table in (opt.m, opt.v) for name in table]
-        views = iter(lanes.shared(shapes * 2 + [table[name].shape for table, name in moments]))
+        names = list(params)
+        arena = iter(lanes.shared([params[name].data.shape for name in names] * 4))
         # Each old array is dropped as soon as it is copied, and its pages handed back.
-        for p, view in zip(params.values(), views):
+        for p, view in zip(params.values(), arena):
             np.copyto(view, p.data)
             p.data = view
-        for p, view in zip(params.values(), views):
+        for p, view in zip(params.values(), arena):
             p.grad = view
-        for (table, name), view in zip(moments, views):
-            np.copyto(view, table[name])
-            table[name] = view
+        for table in (opt.m, opt.v):
+            for name, view in zip(names, arena):
+                np.copyto(view, table[name])
+                table[name] = view
         lanes.release_freed()
+        sizes = np.cumsum([p.size for p in params.values()])
+        cut = len(names) if lanes.helper is None else int(np.searchsorted(sizes, sizes[-1] / 2))
+        self.halves = ({n: params[n] for n in names[:cut]}, {n: params[n] for n in names[cut:]})
 
     def __enter__(self) -> "_Training":
         if lanes.helper is not None:
@@ -289,72 +295,93 @@ class _Training:
             self.worker = None
         T.zero_grads(self.params.values())
 
-    def rng_state(self):
-        return None if self.rng is None else self.rng.bit_generator.state
-
-    def forward(self, index, state=None) -> T.Tensor:
-        """Example ``index``'s loss, from generator ``state`` when given."""
-        if state is not None:
-            self.rng.bit_generator.state = state
-        return self.example_loss(index, self.rng)
+    def forward(self, step: int, position: int, index) -> T.Tensor:
+        """The loss of example ``index`` at ``position`` in step ``step``'s batch, drawn
+        from that example's own generator."""
+        rng = None if self.seed is None else _generator(self.seed, step, position)
+        return self.example_loss(index, rng)
 
     def _serve(self, message: tuple, conn) -> None:
-        """The worker's side: an example of ``_update``, or its half of ``adam_step``."""
+        """The worker's side: an example of ``_update``, or its half of the step's passes."""
         kind, *args = message
+        half = self.halves[1]
         if kind == "example":
             loss = self.forward(*args)
-            conn.send(("forward", loss.item(), self.rng_state()))
-            _backward(loss, _arrival(conn, "turn"))
-            conn.send(("added",))
+            _backward(loss, _Turn(conn, "turn"))
+            conn.send(("added", loss.item()))
+        elif kind == "collect":
+            batch_size, clip = args
+            grads = collect_gradients(half, batch_size)
+            _check_finite(grads)
+            conn.send(("collected", _squares(grads, clip)))
+        elif kind == "scale":
+            for p in half.values():
+                p.grad *= args[0]
         elif kind == "adam":
-            names, lr, step, cfg = args
-            _adam_update(self.params, {n: self.params[n].grad for n in names}, self.opt,
-                         names, lr, step, cfg)
+            lr, step, cfg = args
+            _adam_update(self.params, {n: p.grad for n, p in half.items()}, self.opt,
+                         lr, step, cfg)
+            for p in half.values():
+                p.grad.fill(0.0)
             conn.send(("done",))
         else:
             raise UsageError(f"unknown lane message {kind!r}")
 
 
-def _update(run: _Training, indices, lr: float, cfg: TrainConfig, total: float = 0.0) -> float:
-    """One optimizer step over the examples ``indices``; returns ``total`` plus their losses.
+def _update(run: _Training, step: int, indices, lr: float, cfg: TrainConfig,
+            total: float = 0.0) -> float:
+    """Optimizer step ``step`` over ``indices``; returns ``total`` plus their losses.
 
     Each example's loss is built and backpropagated before this lane builds its next,
     so one autodiff graph is alive at a time per lane. Gradients enter the
     accumulators in example order and each loss is added to ``total`` in turn, so the
     batch gradient and a running epoch sum passed in keep their order, bitwise.
 
-    On two lanes the worker takes the odd positions. Example k's forward starts from
-    the generator state example k-1's forward left, handed across with the example,
-    so every draw is the one a single lane makes; the lane that ran a forward runs its
-    backward, overlapping the other lane's forward.
+    On two lanes the worker takes the odd positions, each sent before this lane's
+    forward of the one before it: every example draws from its own generator, so the
+    forwards overlap. Each lane then divides, checks and (under ``grad_clip``) sums
+    its half of the gradients; nothing changes until both halves pass the check. The
+    accumulators are left at zero for the next step.
     """
     worker, n = run.worker, len(indices)
     losses = [0.0] * n
-    for p in run.params.values():
-        p.grad.fill(0.0)
     for k in range(0, n, 1 if worker is None else 2):
-        after_worker = worker is not None and k > 0  # it ran example k - 1
-        state = None
-        if after_worker:
-            losses[k - 1], state = _expect(worker.recv(), "forward")
-        loss = run.forward(indices[k], state)
-        losses[k] = loss.item()
         before_worker = worker is not None and k + 1 < n
         if before_worker:
-            worker.send("example", indices[k + 1], run.rng_state())
-        _backward(loss, _arrival(worker, "added") if after_worker else None)
+            worker.send("example", step, k + 1, indices[k + 1])
+        loss = run.forward(step, k, indices[k])
+        losses[k] = loss.item()
+        turn = _Turn(worker, "added") if worker is not None and k > 0 else None
+        _backward(loss, turn)
         del loss
+        if turn is not None:
+            losses[k - 1] = turn.fields[0]
         if before_worker:
             worker.send("turn")
     if worker is not None and n % 2 == 0:
-        losses[n - 1], state = _expect(worker.recv(), "forward")
-        if state is not None:
-            run.rng.bit_generator.state = state
-        _expect(worker.recv(), "added")
+        losses[n - 1] = _expect(worker.recv(), "added")[0]
     for value in losses:
         total += value
-    grads = _clipped(collect_gradients(run.params, n), cfg.grad_clip)
+    if worker is not None:
+        worker.send("collect", n, cfg.grad_clip)
+    grads = collect_gradients(run.halves[0], n)
+    squares = _squares(grads, cfg.grad_clip)
+    if worker is not None:
+        try:
+            squares += _expect(worker.recv(), "collected")[0]
+        except NumericError:
+            _check_finite(grads)  # the first half comes first in parameter order
+            raise
+    norm = np.sqrt(sum(squares))
+    if cfg.grad_clip is not None and norm > cfg.grad_clip:
+        factor = cfg.grad_clip / norm
+        for g in grads.values():
+            g *= factor
+        if worker is not None:
+            worker.send("scale", factor)
     adam_step(run.params, grads, run.opt, lr, cfg, worker=worker)
+    for g in grads.values():
+        g.fill(0.0)
     return total
 
 
@@ -372,15 +399,15 @@ def run_pretraining(
     Every step samples batch_size sequences with replacement, corrupts them,
     and applies one Adam update at the scheduled rate. The first logged loss
     is evaluated before any update, so an untrained model logs roughly
-    ln(vocab_size). Passing an AdamState and its step back in continues the
-    moments, the step counter and the schedule, but not the random stream: the
-    generator restarts from ``cfg.seed``, so a resumed run draws other batches,
-    masks and dropout than an uninterrupted one, and ends elsewhere.
+    ln(vocab_size). Each step's batch is drawn from the generator of ``(cfg.seed,
+    step)`` and each example's masking and dropout from that of ``(cfg.seed, step,
+    position)``, so passing an AdamState and its step back in continues the moments,
+    the step counter, the schedule and every draw: a resumed run ends bitwise where
+    an uninterrupted one does.
     """
     if not corpus:
         raise InputError("pretraining corpus is empty")
     cfg = cfg.resolved()
-    rng = np.random.default_rng(cfg.seed)
     if opt is None:
         opt = AdamState.fresh(state.params)
         opt.step = start_step
@@ -390,11 +417,11 @@ def run_pretraining(
         return masked_lm_loss(state, corrupted, targets, train_mode=True, rng=rng)
 
     losses: list[float] = []
-    with _Training(state.params, opt, example_loss, rng) as run:
+    with _Training(state.params, opt, example_loss, cfg.seed) as run:
         for step in range(start_step + 1, cfg.total_steps + 1):
-            idx = rng.integers(0, len(corpus), size=cfg.batch_size)
+            idx = _generator(cfg.seed, step).integers(0, len(corpus), size=cfg.batch_size)
             lr = lr_at(step, cfg)
-            mean_loss = _update(run, idx, lr, cfg) / cfg.batch_size
+            mean_loss = _update(run, step, idx, lr, cfg) / cfg.batch_size
             losses.append(mean_loss)
             if log_fn is not None:
                 log_fn(step, lr, mean_loss)
@@ -418,13 +445,13 @@ def overfit_one_batch(
     if not batch:
         raise InputError("overfit_one_batch needs a non-empty batch")
     cfg = cfg.resolved()
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     fixed = [mask_corrupt(seq, mask_rate, rng, state.cfg.vocab_size) for seq in batch]
     opt = AdamState.fresh(state.params)
     losses: list[float] = []
     with _Training(state.params, opt, lambda k, _: masked_lm_loss(state, *fixed[k]), None) as run:
         for step in range(1, cfg.total_steps + 1):
-            total = _update(run, range(len(batch)), lr_at(step, cfg), cfg)
+            total = _update(run, step, range(len(batch)), lr_at(step, cfg), cfg)
             losses.append(total / len(batch))
     return losses
 
@@ -561,7 +588,6 @@ def run_finetune(
         raise InputError(f"unknown label mode {label_mode!r}")
     steps_per_epoch = (len(train) + cfg.batch_size - 1) // cfg.batch_size
     cfg = cfg.resolved(total_steps=max(1, epochs * steps_per_epoch))
-    rng = np.random.default_rng(cfg.seed)
 
     frozen = {"speech": cfg.freeze_speech, "text": cfg.freeze_text}
     for modality, state in model.encoders().items():
@@ -579,14 +605,15 @@ def run_finetune(
     def example_loss(i, rng):
         return _example_loss(model, train[i], label_mode, True, rng, caches)
 
-    with _Training(trainable, opt, example_loss, rng) as run:
+    with _Training(trainable, opt, example_loss, cfg.seed) as run:
         for epoch in range(1, epochs + 1):
-            order = rng.permutation(len(train))
+            order = _generator(cfg.seed, epoch).permutation(len(train))
             epoch_loss = 0.0
             for start in range(0, len(order), cfg.batch_size):
-                step = min(step + 1, cfg.total_steps)
-                epoch_loss = _update(run, order[start : start + cfg.batch_size],
-                                     lr_at(step, cfg), cfg, total=epoch_loss)
+                step += 1
+                epoch_loss = _update(run, step, order[start : start + cfg.batch_size],
+                                     lr_at(min(step, cfg.total_steps), cfg), cfg,
+                                     total=epoch_loss)
             history.append({"epoch": epoch, "split": "train", "metric": "loss",
                             "value": epoch_loss / len(train)})
             report = evaluate_model(model, valid, label_mode, caches=caches) if valid else None

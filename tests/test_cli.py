@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emofuse import data
+from emofuse import cli, data
 from emofuse.checkpoint import (
     MAGIC,
     load_checkpoint,
@@ -153,6 +153,35 @@ class TestPretrain:
         assert meta["step"] == 7
         resumed_log = (out / "pretrain.log").read_text().splitlines()
         assert resumed_log[0].startswith("5 ")
+
+    def test_resume_after_an_interrupt_matches_the_straight_run(self, workspace, tmp_path,
+                                                               monkeypatch):
+        """Stopped after its step-4 checkpoint and resumed, a run writes the checkpoint
+        and the log lines of steps 5-8 that an uninterrupted run writes, byte for byte."""
+        base = ["pretrain", "--dataset", f"{workspace}/dataset.jsonl",
+                "--codebook", f"{workspace}/codebook.bin", "--batch-size", "2",
+                "--lr", "1e-3", "--seed", "0", "--checkpoint-interval", "2", "--steps", "8",
+                *TINY_ARCH]
+        assert main([*base, "--out-dir", str(tmp_path / "straight")]) == 0
+        save = cli.save_encoder_checkpoint
+
+        def stop_after_step_4(path, state, extra_meta, **kwargs):
+            save(path, state, extra_meta=extra_meta, **kwargs)
+            if extra_meta["step"] == 4:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "save_encoder_checkpoint", stop_after_step_4)
+        with pytest.raises(KeyboardInterrupt):
+            main([*base, "--out-dir", str(tmp_path / "stopped")])
+        monkeypatch.setattr(cli, "save_encoder_checkpoint", save)
+        assert main([*base, "--out-dir", str(tmp_path / "resumed"),
+                     "--resume", str(tmp_path / "stopped" / "speech_encoder.ckpt")]) == 0
+        straight, resumed = (tmp_path / "straight", tmp_path / "resumed")
+        assert ((resumed / "speech_encoder.ckpt").read_bytes()
+                == (straight / "speech_encoder.ckpt").read_bytes())
+        lines = (straight / "pretrain.log").read_text().splitlines()
+        assert (resumed / "pretrain.log").read_text().splitlines() == lines[4:]
+        assert lines[4].startswith("5 ") and len(lines) == 8
 
     @pytest.mark.parametrize("drop", ["step", "adam"])
     def test_resume_without_optimizer_state_exits_2(self, workspace, tmp_path, capsys, drop):

@@ -200,6 +200,80 @@ def test_overfit_one_batch_bitwise_across_lanes(set_lanes, workers, size):
     assert_same_arrays(params1, params2)
 
 
+def test_the_lanes_forwards_overlap(set_lanes, workers, monkeypatch):
+    """The worker starts the forward of position 1 while the parent's forward of
+    position 0 is still running: no example's draws wait for another's."""
+    set_lanes(2)
+    parent, masked_lm_loss = os.getpid(), training.masked_lm_loss
+    flag = lanes.shared([(1,)])[0]  # the worker's writes show here
+    waited = []
+
+    def loss(*args, **kwargs):
+        if os.getpid() != parent:
+            flag[0] = 1.0
+        elif not waited:
+            deadline = time.monotonic() + 30.0
+            while flag[0] == 0.0 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            waited.append(flag[0] == 1.0)
+        return masked_lm_loss(*args, **kwargs)
+
+    monkeypatch.setattr(training, "masked_lm_loss", loss)
+    state = EncoderState.init(TINY, np.random.default_rng(0))
+    cfg = TrainConfig(peak_lr=1e-3, warmup_steps=0, total_steps=1, batch_size=2, seed=5)
+    run_pretraining(corpus(), state, cfg)
+    assert waited == [True]
+    assert len(workers) == 1
+    assert_reaped(workers)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("in_both_halves", [False, True])
+def test_non_finite_gradient_in_the_workers_half_changes_nothing(set_lanes, workers,
+                                                                  monkeypatch, bad,
+                                                                  in_both_halves):
+    """A non-finite gradient in the worker's half, alone or with one in the parent's, is
+    named as one lane names it, and no parameter or moment of either half changes."""
+    names = list(EncoderState.init(TINY, None).params)
+    # The halves split by element count: the last parameter is the worker's, the first
+    # the parent's.
+    poisoned_names = [names[0], names[-1]] if in_both_halves else [names[-1]]
+    collect = training.collect_gradients
+    halves = []  # each process's own list: the worker's is a copy
+
+    def poisoned(params, batch_size):
+        halves.append(list(params))
+        for name in poisoned_names:
+            if len(halves) == 2 and name in params:  # step 2, in either process
+                params[name].grad.flat[0] = bad
+        return collect(params, batch_size)
+
+    monkeypatch.setattr(training, "collect_gradients", poisoned)
+
+    def run():
+        halves.clear()
+        state = EncoderState.init(TINY, np.random.default_rng(0))
+        opt = AdamState.fresh(state.params)
+        cfg = TrainConfig(peak_lr=1e-3, warmup_steps=1, total_steps=4, batch_size=3, seed=5)
+        after_step_1 = []
+
+        def keep(step, lr, loss):
+            after_step_1.append([{n: a.copy() for n, a in arrays.items()} for arrays in
+                                 ({n: p.data for n, p in state.params.items()}, opt.m, opt.v)])
+
+        with pytest.raises(NumericError) as err:
+            run_pretraining(corpus(), state, cfg, opt=opt, log_fn=keep)
+        assert len(after_step_1) == 1 and opt.step == 1
+        for before, now in zip(after_step_1[0], ({n: p.data for n, p in state.params.items()},
+                                                 opt.m, opt.v)):
+            assert_same_arrays(before, now)
+        return str(err.value), halves[0]
+
+    (one, half1), (two, half2) = across_lanes(set_lanes, run, workers)
+    assert one == two == f"non-finite (NaN or inf) gradient for parameter {poisoned_names[0]!r}"
+    assert half1 == names and names[0] in half2 and names[-1] not in half2
+
+
 def test_evaluate_model_logits_bitwise_across_lanes(set_lanes, monkeypatch):
     text_cfg = EncoderConfig(n_layers=1, d_model=8, n_heads=2, d_ff=16, vocab_size=11,
                              max_len=16, dropout_rate=0.1)
@@ -314,29 +388,45 @@ def test_finetune_with_blas_pinned_writes_the_same_model(workspace, tmp_path):
 
 def test_numeric_error_in_the_worker_exits_3_like_one_lane(set_lanes, workers, workspace,
                                                           tmp_path, monkeypatch, capsys):
+    """A NumericError in the worker's example, or a NaN, +inf or -inf gradient in the
+    worker's half of the parameters (the head's bias, last in order), exits 3 with one
+    lane's message and writes no model."""
     work, inputs = workspace
     train = [ex.id for ex in load_jsonl(f"{work}/dataset.jsonl").subset("train")]
     # Position 1 of the first batch: the worker's example on two lanes (finetune --seed=1).
-    bad = train[np.random.default_rng(1).permutation(len(train))[1]]
-    seen = []
-    example_loss = training._example_loss
+    bad_id = train[training._generator(1, 1).permutation(len(train))[1]]
+    seen, poison = [], []
+    example_loss, collect = training._example_loss, training.collect_gradients
 
     def failing(model, ex, *rest):
         seen.append(ex.id)
-        if ex.id == bad:
-            raise NumericError(f"example {bad} went non-finite")
+        if ex.id == bad_id and not poison:
+            raise NumericError(f"example {bad_id} went non-finite")
         return example_loss(model, ex, *rest)
 
+    def poisoned(params, batch_size):
+        seen.extend(params)
+        if poison and "fusion.head.b" in params:
+            params["fusion.head.b"].grad.flat[0] = poison[0]
+        return collect(params, batch_size)
+
     monkeypatch.setattr(training, "_example_loss", failing)
-    results = []
-    for n in (1, 2):
-        set_lanes(n)
-        seen.clear()
-        capsys.readouterr()
-        results.append((main(finetune_argv(inputs, tmp_path / str(n))), capsys.readouterr().err))
-    assert results[0] == results[1] == (3, f"numeric error: example {bad} went non-finite\n")
-    assert bad not in seen  # on two lanes the worker raised it
-    assert len(workers) == 1
+    monkeypatch.setattr(training, "collect_gradients", poisoned)
+    for bad in (None, np.nan, np.inf, -np.inf):
+        poison[:] = [] if bad is None else [bad]
+        found, message = ((bad_id, f"example {bad_id} went non-finite") if bad is None else
+                          ("fusion.head.b",
+                           "non-finite (NaN or inf) gradient for parameter 'fusion.head.b'"))
+        results = []
+        for n in (1, 2):
+            set_lanes(n)
+            seen.clear()
+            capsys.readouterr()
+            results.append((main(finetune_argv(inputs, tmp_path / f"{bad}-{n}")),
+                            capsys.readouterr().err))
+        assert results[0] == results[1] == (3, f"numeric error: {message}\n")
+        assert found not in seen  # on two lanes the worker found it
+    assert len(workers) == 4
     assert_reaped(workers)
     assert not any(tmp_path.rglob("model.ckpt"))
 

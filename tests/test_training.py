@@ -234,8 +234,26 @@ class TestPretraining:
             opt=opt, start_step=10)
         assert opt.step == 14 and len(more) == 4
 
-    @pytest.mark.xfail(strict=True, reason="the generator restarts from cfg.seed on resume, "
-                                           "so the resumed steps draw other batches and masks")
+    def test_each_example_draws_from_its_own_counter_seeded_generator(self, rng, set_lanes,
+                                                                      monkeypatch):
+        """Step s draws its batch from the generator of (seed, s), and the example at
+        position k masks from that of (seed, s, k), whatever its neighbours draw."""
+        set_lanes(1)  # the worker's examples would be recorded in the worker
+        corpus = tiny_corpus(rng)
+        drawn, mask_corrupt = [], training.mask_corrupt
+
+        def recording(seq, rate, gen, vocab_size):
+            drawn.append((seq, gen.bit_generator.state))
+            return mask_corrupt(seq, rate, gen, vocab_size)
+
+        monkeypatch.setattr(training, "mask_corrupt", recording)
+        cfg = TrainConfig(peak_lr=1e-3, warmup_steps=1, total_steps=3, batch_size=3, seed=5)
+        run_pretraining(corpus, EncoderState.init(TINY, np.random.default_rng(0)), cfg)
+        batches = {s: training._generator(5, s).integers(0, len(corpus), size=3)
+                   for s in (1, 2, 3)}
+        assert drawn == [(corpus[i], training._generator(5, s, k).bit_generator.state)
+                         for s, batch in batches.items() for k, i in enumerate(batch)]
+
     def test_resume_from_a_mid_run_copy_matches_the_straight_run(self, rng):
         corpus = tiny_corpus(rng)
         cfg = TrainConfig(peak_lr=1e-3, warmup_steps=2, total_steps=8, batch_size=2, seed=5)
