@@ -453,7 +453,7 @@ def cmd_ablate(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=None,
                    help="output directory (default: $EMOFUSE_OUT or ./runs)")
-    p.add_argument("--seed", type=int, default=0, help="master random seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="master random seed")
     p.add_argument("--config", default=None,
                    help="key = value config file; explicit flags win")
 

@@ -4,23 +4,23 @@ NumPy releases the GIL in its loops and BLAS calls, so the helper thread keeps a
 second core busy with work whose bits do not depend on the thread: evaluation's
 encoder stacks. Training spends much of its time in Python itself (graph building,
 ``backward``'s loop), which a thread cannot overlap, so a training function forks
-one ``Worker`` process instead. Two lanes run with at least 2 CPUs and a BLAS
-pinned to one thread by the environment (a BLAS thread pool would not survive the
-fork); with one lane the helper's work runs inline and no worker is forked, in the
-same functions."""
+one ``Worker`` process instead, linked to it by a pipe and by turns (``Link``).
+Two lanes run with at least 2 CPUs and a BLAS pinned to one thread by the
+environment (a BLAS thread pool would not survive the fork); with one lane the
+helper's work runs inline and no worker is forked, in the same functions."""
 
 import contextvars
 import ctypes
 import mmap
+import multiprocessing
 import os
 import pickle
 import signal
 from concurrent import futures
-from multiprocessing import Pipe
 
 import numpy as np
 
-from .errors import EmofuseError
+from .errors import EmofuseError, UsageError
 
 
 def _blas_pinned() -> bool:
@@ -70,11 +70,11 @@ def share(fn, items: list) -> list:
     return results
 
 
-def shared(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Zeroed float64 arrays of ``shapes`` in one anonymous shared mapping: after a
-    fork, this process and the worker each see the other's writes to them in place."""
+def shared(shapes: list[tuple[int, ...]], dtype=np.float64) -> list[np.ndarray]:
+    """Zeroed 8-byte ``dtype`` arrays of ``shapes`` in one anonymous shared mapping: after
+    a fork, this process and the worker each see the other's writes to them in place."""
     sizes = [int(np.prod(shape)) for shape in shapes]
-    flat = np.frombuffer(mmap.mmap(-1, 8 * max(1, sum(sizes))), np.float64)
+    flat = np.frombuffer(mmap.mmap(-1, 8 * max(1, sum(sizes))), dtype)
     offsets = np.cumsum([0] + sizes)
     return [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(offsets, offsets[1:], shapes)]
 
@@ -97,8 +97,50 @@ def _sendable(err: Exception) -> Exception:
         return EmofuseError(f"{type(err).__name__}: {err}")
 
 
-def _serve(conn, handle):
-    """The worker's life: ``handle(message, conn)`` for each message until the parent
+# How often a lane waiting for a turn looks at the pipe for an error or a lost lane.
+_WAKE_S = 0.1
+
+
+class Link:
+    """One lane's end of its link to the other: tuples over a pipe, and turns.
+
+    A turn is a unit the other lane gives (``give``) and this lane takes, in the
+    order given (``try_take``, ``take``); each direction is counted by a semaphore
+    both lanes share, which orders memory: what a lane wrote before a ``give`` is
+    seen by the other after the matching take. ``recv`` raises an error the other
+    lane sent back with its class and message.
+    """
+
+    def __init__(self, conn, mine, theirs):
+        self._conn, self._mine, self._theirs = conn, mine, theirs
+
+    def send(self, *message) -> None:
+        self._conn.send(message)
+
+    def recv(self) -> tuple:
+        message = self._conn.recv()
+        if message[0] == "error":
+            raise message[1]
+        return message
+
+    def give(self) -> None:
+        self._theirs.release()
+
+    def try_take(self) -> bool:
+        """Take the next turn if it has been given; never waits."""
+        return self._mine.acquire(False)
+
+    def take(self) -> None:
+        """Wait, blocked, for the next turn. A lane sends a message only after every
+        turn it owes at that point, so a message with no turn given is an error the
+        other lane sent, or its end closing, and ``recv`` raises it."""
+        while not self._mine.acquire(timeout=_WAKE_S):
+            if self._conn.poll() and not self._mine.acquire(False):
+                raise UsageError(f"lane message {self.recv()[0]!r} came before its turn")
+
+
+def _serve(link: Link, handle):
+    """The worker's life: ``handle(message, link)`` for each message until the parent
     closes its end. An error is sent back in place of the handler's next message.
 
     It ends in ``os._exit``, whatever happens: nothing unwinds into the frames it
@@ -110,63 +152,58 @@ def _serve(conn, handle):
     code = 1
     try:
         while True:
-            message = conn.recv()
+            message = link.recv()
             try:
-                handle(message, conn)
+                handle(message, link)
             except (EOFError, BrokenPipeError, ConnectionResetError):
                 raise
             except Exception as err:
-                conn.send(("error", _sendable(err)))
+                link.send("error", _sendable(err))
     except (EOFError, BrokenPipeError, ConnectionResetError):  # the parent is done or gone
         code = 0
     finally:
         os._exit(code)
 
 
-class Worker:
-    """A forked copy of this process that runs ``handle(message, conn)`` for each message
-    sent to it, ``conn`` being its end of the pipe.
+class Worker(Link):
+    """A forked copy of this process that runs ``handle(message, link)`` for each
+    message sent to it, ``link`` being its end of the ``Link``.
 
     Only what was mapped with ``shared`` before the fork is shared; everything else is
-    the worker's own copy. Messages are tuples; ``recv`` raises an error the worker
-    sent back with its class and message, and an EmofuseError naming the worker when
-    it is gone. ``close`` ends and reaps it. Create one only while the helper thread
-    is idle: the fork copies no thread but the caller's, and a lock another thread
-    held would stay held in the copy.
+    the worker's own copy. A worker that is gone is an EmofuseError naming it, from
+    ``send``, ``recv`` or ``take``. ``close`` ends and reaps it. Create one only while
+    the helper thread is idle: the fork copies no thread but the caller's, and a lock
+    another thread held would stay held in the copy.
     """
 
     def __init__(self, handle):
-        self._conn, theirs = Pipe()
+        context = multiprocessing.get_context("fork")
+        conn, theirs = context.Pipe()
+        turns = context.Semaphore(0), context.Semaphore(0)
+        super().__init__(conn, *turns)
         self._status = None
         try:
             self.pid = os.fork()
         except OSError as err:
-            self._conn.close()
+            conn.close()
             theirs.close()
             raise EmofuseError(f"cannot start a training worker process: {err}") from None
         if self.pid == 0:
-            self._conn.close()
-            _serve(theirs, handle)
+            conn.close()
+            _serve(Link(theirs, *reversed(turns)), handle)
         theirs.close()
 
     def send(self, *message) -> None:
         try:
-            self._conn.send(message)
+            super().send(*message)
         except (BrokenPipeError, ConnectionResetError):
             raise self._lost() from None
 
-    def poll(self) -> bool:
-        """Whether ``recv`` would return or raise at once."""
-        return self._conn.poll()
-
     def recv(self) -> tuple:
         try:
-            message = self._conn.recv()
+            return super().recv()
         except (EOFError, ConnectionResetError):
             raise self._lost() from None
-        if message[0] == "error":
-            raise message[1]
-        return message
 
     def close(self, kill: bool = False) -> None:
         """End the worker: it exits when its pipe closes, or at once with ``kill``; reap it."""

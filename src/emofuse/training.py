@@ -14,6 +14,7 @@ their outputs are computed once per distinct token sequence and cached.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field, replace
 
@@ -64,6 +65,8 @@ class TrainConfig:
             raise ConfigError(f"peak_lr must be finite and non-negative, got {self.peak_lr}")
         if self.grad_clip is not None and not 0.0 < self.grad_clip < math.inf:
             raise ConfigError(f"grad_clip must be finite and positive, got {self.grad_clip}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.warmup_steps is not None and self.warmup_steps < 0:
             raise ConfigError(f"warmup_steps must be non-negative, got {self.warmup_steps}")
         if self.total_steps is not None:
@@ -142,12 +145,13 @@ def adam_step(
     runs in the textbook order, so the result is bitwise that formula's; two
     scratch arrays per parameter stand in for its fourteen temporaries. Every
     gradient is checked before anything changes. A training ``worker`` sharing these
-    arrays has checked the gradients of the other half of the parameters, and updates
-    that half meanwhile; elementwise, the split changes no bit.
+    arrays updates the other half of the parameters meanwhile; elementwise, the split
+    changes no bit. With a worker, ``_update`` has checked both halves already.
     """
     if not lr >= 0.0:
         raise UsageError(f"learning rate must be non-negative, got {lr}")
-    _check_finite(grads)
+    if worker is None:
+        _check_finite(grads)
     opt.step += 1
     if worker is not None:
         worker.send("adam", lr, opt.step, cfg)
@@ -209,46 +213,6 @@ def _expect(message: tuple, kind: str) -> tuple:
     return message[1:]
 
 
-class _Turn:
-    """The other lane's message of ``kind`` saying that the example before this one
-    has added its gradient; ``fields`` holds the message's fields once it has come."""
-
-    def __init__(self, link, kind: str):
-        self.link, self.kind, self.fields = link, kind, None
-
-    def arrived(self, block: bool) -> bool:
-        """Whether the message has come, waiting for it when asked to ``block``."""
-        if self.fields is None and (block or self.link.poll()):
-            self.fields = _expect(self.link.recv(), self.kind)
-        return self.fields is not None
-
-
-def _backward(loss: T.Tensor, turn: _Turn | None = None) -> None:
-    """Backpropagate one example's loss, adding each leaf's gradient into ``leaf.grad``,
-    the batch's accumulator, in place: ``grad += g`` keeps the bits of ``grad + g``.
-
-    With a ``turn``, the leaves reached before the example before this one has added
-    its gradient are held and added after it, so gradients enter in example order
-    while the two lanes' passes overlap.
-    """
-    held = []
-    ready = turn is None
-
-    def add(leaf, g):
-        nonlocal ready
-        ready = ready or turn.arrived(False)
-        if ready:
-            leaf.grad += g
-        else:
-            held.append((leaf, g))
-
-    T.backward(loss, add_leaf=add)
-    if not ready:
-        turn.arrived(True)
-    for leaf, g in held:
-        leaf.grad += g
-
-
 class _Training:
     """What every optimizer step of one training loop shares: the trainable ``params``,
     their Adam state, the run's ``seed`` (None for a loss that draws nothing), and
@@ -257,16 +221,17 @@ class _Training:
 
     The parameters, their gradient accumulators (each one's ``grad``) and both moments
     move into one arena of views in a shared mapping (``lanes.shared``). On two lanes
-    ``halves`` splits the parameters by element count, and a forked worker runs every
-    other example (see ``_update``) and the second half's gradient passes and Adam
-    update; on one lane the first half is all. Entered and left with ``with``, so no
-    worker outlives it.
+    ``halves`` splits the parameters at the boundary nearest the middle by element
+    count, and a forked worker runs every other example (see ``_update``) and the
+    second half's gradient passes and Adam update; ``link`` is the other lane's end
+    (the worker, or in the worker the parent). On one lane the first half is all.
+    Entered and left with ``with``, so no worker outlives it.
     """
 
     def __init__(self, params: dict[str, T.Tensor], opt: AdamState, example_loss,
                  seed: int | None):
         self.params, self.opt, self.example_loss, self.seed = params, opt, example_loss, seed
-        self.worker: lanes.Worker | None = None
+        self.link: lanes.Link | None = None
         names = list(params)
         arena = iter(lanes.shared([params[name].data.shape for name in names] * 4))
         # Each old array is dropped as soon as it is copied, and its pages handed back.
@@ -275,24 +240,34 @@ class _Training:
             p.data = view
         for p, view in zip(params.values(), arena):
             p.grad = view
+        self.grads = [p.grad for p in params.values()]
         for table in (opt.m, opt.v):
             for name, view in zip(names, arena):
                 np.copyto(view, table[name])
                 table[name] = view
         lanes.release_freed()
+        # The parameter each turn of an example is for (see ``backward``); -1 until the
+        # run's first example has taken that turn.
+        order = lanes.shared([(len(names),)], np.int64)[0]
+        order.fill(-1)
+        self.order, self.names = memoryview(order), names
+        self.index = {id(p): i for i, p in enumerate(params.values())}
         sizes = np.cumsum([p.size for p in params.values()])
-        cut = len(names) if lanes.helper is None else int(np.searchsorted(sizes, sizes[-1] / 2))
+        cut = len(names)
+        if lanes.helper is not None and len(names) > 1:
+            cut = 1 + int(np.abs(sizes[:-1] - sizes[-1] / 2).argmin())
         self.halves = ({n: params[n] for n in names[:cut]}, {n: params[n] for n in names[cut:]})
+        self.losses: list[float] = []  # the worker's losses of the step so far
 
     def __enter__(self) -> "_Training":
         if lanes.helper is not None:
-            self.worker = lanes.Worker(self._serve)
+            self.link = lanes.Worker(self._serve)
         return self
 
     def __exit__(self, kind, err, tb) -> None:
-        if self.worker is not None:
-            self.worker.close(kill=kind is not None)  # after an error it may be mid-example
-            self.worker = None
+        if self.link is not None:
+            self.link.close(kill=kind is not None)  # after an error it may be mid-example
+            self.link = None
         T.zero_grads(self.params.values())
 
     def forward(self, step: int, position: int, index) -> T.Tensor:
@@ -301,19 +276,74 @@ class _Training:
         rng = None if self.seed is None else _generator(self.seed, step, position)
         return self.example_loss(index, rng)
 
-    def _serve(self, message: tuple, conn) -> None:
+    def backward(self, loss: T.Tensor, position: int) -> None:
+        """Backpropagate the loss of the example at ``position`` of its batch, adding each
+        leaf's gradient into its accumulator (``leaf.grad``) in place, at its turn.
+
+        An example takes one turn per parameter: the leaves in the order backward
+        reaches them, then the others in parameter order. Every example of a run takes
+        them in the order ``order`` holds, or raises before adding. Position 0 writes
+        ``g + 0.0``, the bits of ``0 + g``, so nothing is zeroed between steps; the
+        others add ``grad += g``. On two lanes each turn is given on to the other lane,
+        and above position 0 first taken from it, so each leaf's gradients enter in
+        example order; a leaf reached before its turn is held until it comes.
+        """
+        link = self.link
+        waits = link is not None and position > 0
+        held, reached, turn = collections.deque(), set(), 0
+
+        def take(i, g):
+            nonlocal turn
+            if self.order[turn] != i:
+                if self.order[turn] >= 0:
+                    raise UsageError(
+                        f"backward order differs between examples: turn {turn} is for "
+                        f"{self.names[self.order[turn]]!r}, not {self.names[i]!r}")
+                self.order[turn] = i
+            turn += 1
+            if g is not None and position == 0:
+                np.add(g, 0.0, out=self.grads[i])
+            elif g is not None:
+                self.grads[i] += g
+            if link is not None:
+                link.give()
+
+        def add(leaf, g):
+            i = self.index[id(leaf)]
+            reached.add(i)
+            held.append((i, g))
+            while held and (not waits or link.try_take()):
+                take(*held.popleft())
+
+        T.backward(loss, add_leaf=add)
+        held.extend((i, None) for i in range(len(self.names)) if i not in reached)
+        for i, g in held:
+            if waits:
+                link.take()
+            take(i, g)
+
+    def follow(self) -> None:
+        """Take the turns of the batch's last example, run on the other lane: after
+        them every accumulator holds its batch sum."""
+        for _ in self.names:
+            self.link.take()
+
+    def _serve(self, message: tuple, link: lanes.Link) -> None:
         """The worker's side: an example of ``_update``, or its half of the step's passes."""
         kind, *args = message
-        half = self.halves[1]
+        self.link, half = link, self.halves[1]
         if kind == "example":
             loss = self.forward(*args)
-            _backward(loss, _Turn(conn, "turn"))
-            conn.send(("added", loss.item()))
+            self.losses.append(loss.item())
+            self.backward(loss, args[1])
         elif kind == "collect":
             batch_size, clip = args
+            if batch_size % 2:
+                self.follow()
             grads = collect_gradients(half, batch_size)
             _check_finite(grads)
-            conn.send(("collected", _squares(grads, clip)))
+            losses, self.losses = self.losses, []
+            link.send("collected", losses, _squares(grads, clip))
         elif kind == "scale":
             for p in half.values():
                 p.grad *= args[0]
@@ -321,9 +351,7 @@ class _Training:
             lr, step, cfg = args
             _adam_update(self.params, {n: p.grad for n, p in half.items()}, self.opt,
                          lr, step, cfg)
-            for p in half.values():
-                p.grad.fill(0.0)
-            conn.send(("done",))
+            link.send("done")
         else:
             raise UsageError(f"unknown lane message {kind!r}")
 
@@ -334,44 +362,38 @@ def _update(run: _Training, step: int, indices, lr: float, cfg: TrainConfig,
 
     Each example's loss is built and backpropagated before this lane builds its next,
     so one autodiff graph is alive at a time per lane. Gradients enter the
-    accumulators in example order and each loss is added to ``total`` in turn, so the
-    batch gradient and a running epoch sum passed in keep their order, bitwise.
+    accumulators in example order (``_Training.backward``) and each loss is added to
+    ``total`` in turn, so the batch gradient and a running epoch sum passed in keep
+    their order, bitwise.
 
-    On two lanes the worker takes the odd positions, each sent before this lane's
-    forward of the one before it: every example draws from its own generator, so the
-    forwards overlap. Each lane then divides, checks and (under ``grad_clip``) sums
-    its half of the gradients; nothing changes until both halves pass the check. The
-    accumulators are left at zero for the next step.
+    On two lanes the worker takes the odd positions, all sent before this lane's
+    first forward: every example draws from its own generator, so the lanes' forwards
+    and backwards overlap. The lane that did not run the batch's last example follows
+    its turns; then each lane divides, checks and (under ``grad_clip``) sums its half
+    of the gradients, and the worker sends its sums and losses back. Nothing changes
+    until both halves pass the check.
     """
-    worker, n = run.worker, len(indices)
+    worker, n = run.link, len(indices)
     losses = [0.0] * n
+    if worker is not None:
+        for k in range(1, n, 2):
+            worker.send("example", step, k, indices[k])
+        worker.send("collect", n, cfg.grad_clip)
     for k in range(0, n, 1 if worker is None else 2):
-        before_worker = worker is not None and k + 1 < n
-        if before_worker:
-            worker.send("example", step, k + 1, indices[k + 1])
         loss = run.forward(step, k, indices[k])
         losses[k] = loss.item()
-        turn = _Turn(worker, "added") if worker is not None and k > 0 else None
-        _backward(loss, turn)
+        run.backward(loss, k)
         del loss
-        if turn is not None:
-            losses[k - 1] = turn.fields[0]
-        if before_worker:
-            worker.send("turn")
     if worker is not None and n % 2 == 0:
-        losses[n - 1] = _expect(worker.recv(), "added")[0]
-    for value in losses:
-        total += value
-    if worker is not None:
-        worker.send("collect", n, cfg.grad_clip)
+        run.follow()
     grads = collect_gradients(run.halves[0], n)
     squares = _squares(grads, cfg.grad_clip)
     if worker is not None:
-        try:
-            squares += _expect(worker.recv(), "collected")[0]
-        except NumericError:
-            _check_finite(grads)  # the first half comes first in parameter order
-            raise
+        _check_finite(grads)  # while the worker checks its half; the first half comes first
+        losses[1::2], theirs = _expect(worker.recv(), "collected")
+        squares += theirs
+    for value in losses:
+        total += value
     norm = np.sqrt(sum(squares))
     if cfg.grad_clip is not None and norm > cfg.grad_clip:
         factor = cfg.grad_clip / norm
@@ -380,8 +402,6 @@ def _update(run: _Training, step: int, indices, lr: float, cfg: TrainConfig,
         if worker is not None:
             worker.send("scale", factor)
     adam_step(run.params, grads, run.opt, lr, cfg, worker=worker)
-    for g in grads.values():
-        g.fill(0.0)
     return total
 
 
@@ -504,6 +524,12 @@ class _EncoderCache:
             self._outputs[seq.ids] = forward(seq, self.state, train_mode=False)
         return self._outputs[seq.ids]
 
+    def fill(self, seqs: list[TokenSequence]) -> None:
+        """Cache the outputs of ``seqs`` in length groups (``forward_many``, bitwise
+        ``forward``'s)."""
+        new = list({seq.ids: seq for seq in seqs if seq.ids not in self._outputs}.values())
+        self._outputs.update(zip((seq.ids for seq in new), forward_many(new, self.state)))
+
 
 @dataclass
 class FinetuneResult:
@@ -593,6 +619,8 @@ def run_finetune(
     for modality, state in model.encoders().items():
         state.set_requires_grad(not frozen[modality])
     caches = {m: _EncoderCache(state) for m, state in model.encoders().items() if frozen[m]}
+    for modality, cache in caches.items():  # before a worker forks, so it inherits them
+        cache.fill([getattr(ex, modality) for ex in train + valid])
     trainable = {name: p for name, p in model.named_params().items() if p.requires_grad}
     opt = AdamState.fresh(trainable)
     history: list[dict] = []

@@ -71,6 +71,14 @@ class TestGenData:
         assert "--name" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, seed):
+        capsys.readouterr()
+        assert main(["gen-data", "--out-dir", str(tmp_path), "--n", "40", "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "must be at least 0" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_artifact_mode_matches_plain_open(self, tmp_path):
         old_umask = os.umask(0o022)
         try:

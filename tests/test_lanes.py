@@ -2,7 +2,9 @@
 training worker outlives its call, an error or an interrupt."""
 
 import functools
+import itertools
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -22,7 +24,7 @@ from emofuse.data import (
     tokenize_examples,
 )
 from emofuse.encoder import EncoderConfig, EncoderState
-from emofuse.errors import NumericError
+from emofuse.errors import NumericError, UsageError
 from emofuse.fusion import FusionModel
 from emofuse.speech import train_codebook
 from emofuse.text import build_vocab
@@ -166,16 +168,35 @@ def test_run_pretraining_bitwise_across_lanes(set_lanes, workers, start_step):
 
 
 def test_gradients_wait_for_their_turn_when_the_parent_lags(set_lanes, workers, monkeypatch):
-    """With the parent's backwards slowed, the worker's examples finish first; their
-    gradients must still enter after the parent's earlier ones."""
-    parent, backward = os.getpid(), tensor.backward
+    """The parent's first example stops at its 10th leaf until the worker's example has
+    added the 9 leaves before it: each leaf waits for its own turn only, never for the
+    whole example before it, and the bits are one lane's."""
+    parent, backward, give = os.getpid(), tensor.backward, lanes.Link.give
+    given = lanes.shared([(1,)])[0]  # the turns the worker has taken and given on
+    lag_at, seen = 9, []
 
-    def slow_here(*args, **kwargs):
-        if os.getpid() == parent:
-            time.sleep(0.02)
-        return backward(*args, **kwargs)
+    def count_gives(link):
+        if os.getpid() != parent:
+            given[0] += 1
+        give(link)
 
-    monkeypatch.setattr(tensor, "backward", slow_here)
+    def lagging(loss, add_leaf):
+        calls = itertools.count()
+
+        def add(leaf, g):
+            if lanes.helper is not None and os.getpid() == parent and not seen \
+                    and next(calls) == lag_at:
+                deadline = time.monotonic() + 30.0
+                while given[0] < lag_at and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                time.sleep(0.05)  # time to pass the leaf, were it not waiting
+                seen.append(given[0])
+            add_leaf(leaf, g)
+
+        return backward(loss, add_leaf=add)
+
+    monkeypatch.setattr(lanes.Link, "give", count_gives)
+    monkeypatch.setattr(tensor, "backward", lagging)
 
     def run():
         state = EncoderState.init(TINY, np.random.default_rng(1))
@@ -184,7 +205,64 @@ def test_gradients_wait_for_their_turn_when_the_parent_lags(set_lanes, workers, 
         return {n: p.data.copy() for n, p in state.params.items()}
 
     one, two = across_lanes(set_lanes, run, workers)
+    assert seen == [lag_at]
     assert_same_arrays(one, two)
+
+
+def swap_leaves(add_leaf, first: int):
+    """``add_leaf`` with the leaves backward reaches at calls ``first`` and
+    ``first + 1`` handed over in the other order."""
+    calls, kept = itertools.count(), []
+
+    def add(leaf, g):
+        call = next(calls)
+        if call == first:
+            kept.append((leaf, g))
+            return
+        add_leaf(leaf, g)
+        if call == first + 1:
+            add_leaf(*kept.pop())
+
+    return add
+
+
+@pytest.mark.parametrize("n_lanes", [1, 2])
+def test_a_differing_leaf_order_raises_before_adding(set_lanes, workers, monkeypatch,
+                                                     n_lanes):
+    """An example whose backward reaches two leaves in the other order (on two lanes,
+    the worker's) raises at the first of them, and nothing is updated."""
+    set_lanes(n_lanes)
+    parent, backward = os.getpid(), tensor.backward
+    state = EncoderState.init(TINY, np.random.default_rng(0))
+    before = {n: p.data.copy() for n, p in state.params.items()}
+    names, order = {id(p): n for n, p in state.params.items()}, []
+    backward(masked_lm_loss_of(state), add_leaf=lambda leaf, g: order.append(names[id(leaf)]))
+    calls = itertools.count()
+
+    def swapped(loss, add_leaf):
+        if os.getpid() != parent or next(calls) > 0:
+            add_leaf = swap_leaves(add_leaf, 3)
+        return backward(loss, add_leaf=add_leaf)
+
+    monkeypatch.setattr(tensor, "backward", swapped)
+    opt = AdamState.fresh(state.params)
+    cfg = TrainConfig(peak_lr=1e-3, warmup_steps=1, total_steps=2, batch_size=3, seed=5)
+    message = (f"backward order differs between examples: turn 3 is for {order[3]!r}, "
+               f"not {order[4]!r}")
+    with pytest.raises(UsageError, match=re.escape(message)):
+        run_pretraining(corpus(), state, cfg, opt=opt)
+    assert opt.step == 0
+    assert_same_arrays(before, {n: p.data for n, p in state.params.items()})
+    assert len(workers) == n_lanes - 1
+    assert_reaped(workers)
+
+
+def masked_lm_loss_of(state):
+    seq = corpus()[1]
+    corrupted, targets = encoder.mask_corrupt(seq, 0.15, np.random.default_rng(0),
+                                              TINY.vocab_size)
+    return encoder.masked_lm_loss(state, corrupted, targets, train_mode=True,
+                                  rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("size", [1, 4, 5])
@@ -441,6 +519,82 @@ def test_killed_worker_exits_2_naming_it(set_lanes, workers, workspace, tmp_path
     assert err == f"error: training worker process {workers[0]} was killed by signal 9\n"
     assert_reaped(workers)
     assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_worker_killed_mid_backward_exits_2_within_seconds(set_lanes, workers, workspace,
+                                                          tmp_path, capsys, monkeypatch):
+    """The worker dies at the 10th leaf of its first backward once the parent waits for
+    a turn of that example: the run exits 2 naming it, without hanging on the turn."""
+    _, inputs = workspace
+    set_lanes(2)
+    parent, backward, take = os.getpid(), tensor.backward, lanes.Link.take
+    times = lanes.shared([(2,)])[0]  # when the parent first waited, when the worker died
+
+    def timed_take(link):
+        if os.getpid() == parent and not times[0]:
+            times[0] = time.monotonic()
+        take(link)
+
+    def dying(loss, add_leaf):
+        calls = itertools.count()
+
+        def add(leaf, g):
+            if os.getpid() != parent and next(calls) == 9:
+                deadline = time.monotonic() + 30.0
+                while not times[0] and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                times[1] = time.monotonic()
+                os.kill(os.getpid(), signal.SIGKILL)
+            add_leaf(leaf, g)
+
+        return backward(loss, add_leaf=add)
+
+    monkeypatch.setattr(lanes.Link, "take", timed_take)
+    monkeypatch.setattr(tensor, "backward", dying)
+    capsys.readouterr()
+    assert main(finetune_argv(inputs, tmp_path)) == 2
+    assert 0.0 < times[0] <= times[1] and time.monotonic() - times[1] < 5.0
+    err = capsys.readouterr().err
+    assert err == f"error: training worker process {workers[0]} was killed by signal 9\n"
+    assert_reaped(workers)
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("kind", ["shallow", "coattn"])
+def test_frozen_caches_fill_before_the_fork(set_lanes, workers, monkeypatch, kind):
+    """With both encoders frozen, their outputs are computed once, before the worker
+    forks: the worker runs no encoder forward, and a two-lane run keeps the bits of a
+    one-lane run whose caches fill one sequence at a time."""
+    tok, speech_vocab, text_vocab = splits("categorical")
+    parent, forward = os.getpid(), training.forward
+    worker_forwards = lanes.shared([(1,)])[0]
+
+    def counted(*args, **kwargs):
+        if os.getpid() != parent:
+            worker_forwards[0] += 1
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", counted)
+
+    def run():
+        model = FusionModel.init(
+            kind, EncoderConfig(1, 16, 2, 32, speech_vocab, 64, dropout_rate=0.1),
+            EncoderConfig(1, 16, 2, 32, text_vocab, 16, dropout_rate=0.1),
+            HEAD_OUTPUTS["categorical"], 2, np.random.default_rng(4), fusion_dropout=0.1)
+        cfg = TrainConfig(peak_lr=3e-3, batch_size=4, seed=4, freeze_speech=True,
+                          freeze_text=True)
+        result = run_finetune(tok["train"], tok["valid"], model, cfg, epochs=2)
+        return {n: p.data.copy() for n, p in model.named_params().items()}, result.history
+
+    set_lanes(2)
+    params2, history2 = run()
+    assert len(workers) == 1 and worker_forwards[0] == 0
+    set_lanes(1)
+    monkeypatch.setattr(training._EncoderCache, "fill", lambda cache, seqs: None)
+    params1, history1 = run()
+    assert_same_arrays(params1, params2)
+    assert history1 == history2
+    assert_reaped(workers)
 
 
 def test_interrupt_in_the_parent_reaps_the_worker(set_lanes, workers):

@@ -87,6 +87,10 @@ class TestLrSchedule:
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            TrainConfig(seed=-1)
+
     def test_default_warmup_is_six_percent(self):
         cfg = TrainConfig(total_steps=1000).resolved()
         assert cfg.warmup_steps == 60
