@@ -9,6 +9,7 @@ Two lanes run with at least 2 CPUs and a BLAS pinned to one thread by the
 environment (a BLAS thread pool would not survive the fork); with one lane the
 helper's work runs inline and no worker is forked, in the same functions."""
 
+import collections
 import contextvars
 import ctypes
 import mmap
@@ -20,7 +21,7 @@ from concurrent import futures
 
 import numpy as np
 
-from .errors import EmofuseError, UsageError
+from .errors import EmofuseError
 
 
 def _blas_pinned() -> bool:
@@ -70,11 +71,11 @@ def share(fn, items: list) -> list:
     return results
 
 
-def shared(shapes: list[tuple[int, ...]], dtype=np.float64) -> list[np.ndarray]:
-    """Zeroed 8-byte ``dtype`` arrays of ``shapes`` in one anonymous shared mapping: after
-    a fork, this process and the worker each see the other's writes to them in place."""
+def shared(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Zeroed float64 arrays of ``shapes`` in one anonymous shared mapping: after a
+    fork, this process and the worker each see the other's writes to them in place."""
     sizes = [int(np.prod(shape)) for shape in shapes]
-    flat = np.frombuffer(mmap.mmap(-1, 8 * max(1, sum(sizes))), dtype)
+    flat = np.frombuffer(mmap.mmap(-1, 8 * max(1, sum(sizes))), np.float64)
     offsets = np.cumsum([0] + sizes)
     return [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(offsets, offsets[1:], shapes)]
 
@@ -107,17 +108,22 @@ class Link:
     A turn is a unit the other lane gives (``give``) and this lane takes, in the
     order given (``try_take``, ``take``); each direction is counted by a semaphore
     both lanes share, which orders memory: what a lane wrote before a ``give`` is
-    seen by the other after the matching take. ``recv`` raises an error the other
-    lane sent back with its class and message.
+    seen by the other after the matching take. ``recv`` returns the messages in the
+    order sent, and raises an error the other lane sent back with its class and
+    message.
     """
 
     def __init__(self, conn, mine, theirs):
         self._conn, self._mine, self._theirs = conn, mine, theirs
+        self._early = collections.deque()  # messages read while waiting for a turn
 
     def send(self, *message) -> None:
         self._conn.send(message)
 
     def recv(self) -> tuple:
+        return self._early.popleft() if self._early else self._read()
+
+    def _read(self) -> tuple:
         message = self._conn.recv()
         if message[0] == "error":
             raise message[1]
@@ -131,12 +137,11 @@ class Link:
         return self._mine.acquire(False)
 
     def take(self) -> None:
-        """Wait, blocked, for the next turn. A lane sends a message only after every
-        turn it owes at that point, so a message with no turn given is an error the
-        other lane sent, or its end closing, and ``recv`` raises it."""
+        """Wait, blocked, for the next turn. An error the other lane sends meanwhile, or
+        its end closing, raises here; any other message is kept for ``recv``."""
         while not self._mine.acquire(timeout=_WAKE_S):
-            if self._conn.poll() and not self._mine.acquire(False):
-                raise UsageError(f"lane message {self.recv()[0]!r} came before its turn")
+            while self._conn.poll():
+                self._early.append(self._read())
 
 
 def _serve(link: Link, handle):
@@ -199,9 +204,9 @@ class Worker(Link):
         except (BrokenPipeError, ConnectionResetError):
             raise self._lost() from None
 
-    def recv(self) -> tuple:
+    def _read(self) -> tuple:
         try:
-            return super().recv()
+            return super()._read()
         except (EOFError, ConnectionResetError):
             raise self._lost() from None
 

@@ -152,9 +152,9 @@ def adam_step(
         raise UsageError(f"learning rate must be non-negative, got {lr}")
     if worker is None:
         _check_finite(grads)
+    else:
+        worker.send("adam", lr, opt.step + 1, cfg)
     opt.step += 1
-    if worker is not None:
-        worker.send("adam", lr, opt.step, cfg)
     _adam_update(params, grads, opt, lr, opt.step, cfg)
     if worker is not None:
         _expect(worker.recv(), "done")
@@ -248,14 +248,12 @@ class _Training:
         lanes.release_freed()
         # The parameter each turn of an example is for (see ``backward``); -1 until the
         # run's first example has taken that turn.
-        order = lanes.shared([(len(names),)], np.int64)[0]
+        order = lanes.shared([(len(names),)])[0]
         order.fill(-1)
         self.order, self.names = memoryview(order), names
         self.index = {id(p): i for i, p in enumerate(params.values())}
         sizes = np.cumsum([p.size for p in params.values()])
-        cut = len(names)
-        if lanes.helper is not None and len(names) > 1:
-            cut = 1 + int(np.abs(sizes[:-1] - sizes[-1] / 2).argmin())
+        cut = len(names) if lanes.helper is None else 1 + int(abs(sizes - sizes[-1] / 2).argmin())
         self.halves = ({n: params[n] for n in names[:cut]}, {n: params[n] for n in names[cut:]})
         self.losses: list[float] = []  # the worker's losses of the step so far
 
@@ -283,10 +281,11 @@ class _Training:
         An example takes one turn per parameter: the leaves in the order backward
         reaches them, then the others in parameter order. Every example of a run takes
         them in the order ``order`` holds, or raises before adding. Position 0 writes
-        ``g + 0.0``, the bits of ``0 + g``, so nothing is zeroed between steps; the
-        others add ``grad += g``. On two lanes each turn is given on to the other lane,
-        and above position 0 first taken from it, so each leaf's gradients enter in
-        example order; a leaf reached before its turn is held until it comes.
+        ``g + 0.0``, the bits of ``0 + g`` (zeros for a leaf it does not reach), so
+        nothing is zeroed between steps; the others add ``grad += g``. On two lanes
+        each turn is given on to the other lane, and above position 0 first taken from
+        it, so each leaf's gradients enter in example order; a leaf reached before its
+        turn is held until it comes.
         """
         link = self.link
         waits = link is not None and position > 0
@@ -298,11 +297,11 @@ class _Training:
                 if self.order[turn] >= 0:
                     raise UsageError(
                         f"backward order differs between examples: turn {turn} is for "
-                        f"{self.names[self.order[turn]]!r}, not {self.names[i]!r}")
+                        f"{self.names[int(self.order[turn])]!r}, not {self.names[i]!r}")
                 self.order[turn] = i
             turn += 1
-            if g is not None and position == 0:
-                np.add(g, 0.0, out=self.grads[i])
+            if position == 0:
+                np.add(0.0 if g is None else g, 0.0, out=self.grads[i])
             elif g is not None:
                 self.grads[i] += g
             if link is not None:

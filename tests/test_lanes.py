@@ -167,10 +167,11 @@ def test_run_pretraining_bitwise_across_lanes(set_lanes, workers, start_step):
     assert_same_arrays(opt1.v, opt2.v)
 
 
-def test_gradients_wait_for_their_turn_when_the_parent_lags(set_lanes, workers, monkeypatch):
-    """The parent's first example stops at its 10th leaf until the worker's example has
-    added the 9 leaves before it: each leaf waits for its own turn only, never for the
-    whole example before it, and the bits are one lane's."""
+def lag_at_a_leaf(set_lanes, workers, monkeypatch, hold_s):
+    """Pretraining on one lane and on two, where the parent's first example stops at its
+    10th leaf until the worker's example has added the 9 leaves before it, then holds
+    that leaf ``hold_s`` longer. Returns both runs' parameters and the count of turns
+    the worker had given when the parent went on."""
     parent, backward, give = os.getpid(), tensor.backward, lanes.Link.give
     given = lanes.shared([(1,)])[0]  # the turns the worker has taken and given on
     lag_at, seen = 9, []
@@ -189,7 +190,7 @@ def test_gradients_wait_for_their_turn_when_the_parent_lags(set_lanes, workers, 
                 deadline = time.monotonic() + 30.0
                 while given[0] < lag_at and time.monotonic() < deadline:
                     time.sleep(0.001)
-                time.sleep(0.05)  # time to pass the leaf, were it not waiting
+                time.sleep(hold_s)  # time to pass the leaf, were it not waiting
                 seen.append(given[0])
             add_leaf(leaf, g)
 
@@ -205,8 +206,62 @@ def test_gradients_wait_for_their_turn_when_the_parent_lags(set_lanes, workers, 
         return {n: p.data.copy() for n, p in state.params.items()}
 
     one, two = across_lanes(set_lanes, run, workers)
-    assert seen == [lag_at]
+    return one, two, seen
+
+
+def test_gradients_wait_for_their_turn_when_the_parent_lags(set_lanes, workers, monkeypatch):
+    """The worker's example waits at the parent's lagging leaf only, never for the whole
+    example before it, and the bits are one lane's."""
+    one, two, seen = lag_at_a_leaf(set_lanes, workers, monkeypatch, 0.05)
+    assert seen == [9]
     assert_same_arrays(one, two)
+
+
+def test_a_wait_longer_than_the_wake_keeps_the_queued_messages(set_lanes, workers,
+                                                              monkeypatch):
+    """While the worker waits for a turn well past ``_WAKE_S``, the parent's next
+    examples and its "collect" are already in the pipe: the worker keeps them for
+    their turn, and the bits are one lane's."""
+    one, two, seen = lag_at_a_leaf(set_lanes, workers, monkeypatch, 3 * lanes._WAKE_S)
+    assert seen == [9]
+    assert_same_arrays(one, two)
+
+
+def test_a_leaf_the_first_example_does_not_reach_starts_its_sum_at_zero(set_lanes, workers,
+                                                                       monkeypatch):
+    """The example at position 0 of each batch hands over no gradient for the last leaf
+    its backward reaches: that leaf's batch sum starts at zero, bitwise as if the
+    example had handed over zeros, on one lane and on two."""
+    positions, backward, example_backward = [], tensor.backward, training._Training.backward
+
+    def tracked(run, loss, position):
+        positions.append(position)
+        example_backward(run, loss, position)
+
+    def pretrain(zeros: bool):
+        def last_held(loss, add_leaf):
+            held = []
+
+            def add(leaf, g):
+                if held:
+                    add_leaf(*held.pop())
+                held.append((leaf, g))
+
+            backward(loss, add_leaf=add)
+            leaf, g = held.pop()
+            if positions[-1] > 0 or zeros:
+                add_leaf(leaf, g if positions[-1] > 0 else np.zeros_like(g))
+
+        monkeypatch.setattr(tensor, "backward", last_held)
+        state = EncoderState.init(TINY, np.random.default_rng(2))
+        cfg = TrainConfig(peak_lr=1e-2, warmup_steps=1, total_steps=4, batch_size=3, seed=8)
+        run_pretraining(corpus(), state, cfg)
+        return {n: p.data.copy() for n, p in state.params.items()}
+
+    monkeypatch.setattr(training._Training, "backward", tracked)
+    zeros = across_lanes(set_lanes, lambda: pretrain(True), workers)
+    for params in across_lanes(set_lanes, lambda: pretrain(False), workers) + zeros:
+        assert_same_arrays(params, zeros[0])
 
 
 def swap_leaves(add_leaf, first: int):
