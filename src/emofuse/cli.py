@@ -371,6 +371,9 @@ def cmd_evaluate(args) -> int:
         raise InputError(
             f"{args.dataset}: dataset label mode {dataset.label_mode!r} does not match "
             f"model {args.model} ({meta['label_mode']!r})")
+    if args.split not in dataset.splits:
+        raise InputError(f"{args.dataset}: no split {args.split!r}; the file has "
+                         f"{', '.join(map(repr, dataset.splits)) or 'none'}")
     vocab = Vocabulary.load(args.vocab)
     codebook = Codebook.load(args.codebook)
     max_len = {modality: state.cfg.max_len for modality, state in model.encoders().items()}

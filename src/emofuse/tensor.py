@@ -3,11 +3,11 @@
 A Tensor wraps one numpy array in double precision. Applying an operation
 to an input that requires gradients attaches an OpRecord describing how to
 replay them; backward() walks the records in reverse topological order and
-accumulates gradients into the leaf tensors that requested them. Inside a
-``no_grad()`` block no operation records anything, so a forward pass that is
-never differentiated (evaluation) builds no graph. Randomness (dropout)
-always comes from an explicitly passed numpy Generator, never from global
-state.
+hands each leaf tensor that requested a gradient its sum as soon as the last
+record that reads the leaf has run. Inside a ``no_grad()`` block no operation
+records anything, so a forward pass that is never differentiated (evaluation)
+builds no graph. Randomness (dropout) always comes from an explicitly passed
+numpy Generator, never from global state.
 
 Besides elementwise and matrix primitives there are fused ops for the
 transformer's hot spots, each one record with a hand-written VJP: ``linear``
@@ -199,7 +199,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     n = w.data.shape[1]
     if b.data.shape not in ((n,), (1, n)):
         raise ShapeError(f"linear: bias {b.data.shape} is not one row of {n}")
-    out = x.data @ w.data + b.data
+    out = x.data @ w.data
+    out += b.data
 
     def vjp(g: Array):
         rows = x.data.reshape(-1, w.data.shape[0])
@@ -302,12 +303,14 @@ def softmax_rows(x: Tensor) -> Tensor:
     # max propagates NaN, so this catches NaN and +inf but lets -inf through.
     if not (peak < np.inf).all():
         raise NumericError("softmax_rows: NaN or +inf in input")
-    z = x.data - peak
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.data - peak
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def vjp(g: Array):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+        dx = g * y
+        np.subtract(g, dx.sum(axis=-1, keepdims=True), out=dx)
+        return (np.multiply(dx, y, out=dx),)
 
     return _result("softmax_rows", y, (x,), vjp)
 
@@ -323,37 +326,44 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm: gain/bias last dim must be {d}, got {gain.shape} and {bias.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = xhat * gain.data + bias.data
+    # Each ``sum / d`` is numpy's mean, bit for bit, without its overhead.
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    inv = (xhat * xhat).sum(axis=-1, keepdims=True) / d
+    inv += eps
+    np.divide(1.0, np.sqrt(inv, out=inv), out=inv)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def vjp(g: Array):
-        dxhat = g * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return (
-            dx,
-            _unbroadcast(g * xhat, gain.data.shape),
-            _unbroadcast(g, bias.data.shape),
-        )
+        dx = g * gain.data
+        tmp = dx * xhat
+        mean = tmp.sum(axis=-1, keepdims=True) / d
+        dx -= dx.sum(axis=-1, keepdims=True) / d
+        dx -= np.multiply(xhat, mean, out=tmp)
+        dx *= inv
+        return (dx, _unbroadcast(np.multiply(g, xhat, out=tmp), gain.data.shape),
+                _unbroadcast(g, bias.data.shape))
 
     return _result("layer_norm", out, (x, gain, bias), vjp)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GELU: x * Phi(x) with Phi the standard normal CDF."""
-    cdf = 0.5 * (1.0 + erf(x.data / _SQRT2))
+    cdf = x.data / _SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = x.data * cdf
 
     def vjp(g: Array):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        return (g * (cdf + x.data * pdf),)
+        dx = x.data * -0.5
+        dx *= x.data
+        np.exp(dx, out=dx)
+        dx *= _INV_SQRT_2PI
+        dx *= x.data
+        dx += cdf
+        return (np.multiply(dx, g, out=dx),)
 
     return _result("gelu", out, (x,), vjp)
 
@@ -374,7 +384,9 @@ def dropout(
         return x
     if rng is None:
         raise UsageError("dropout in train mode needs an explicit rng")
-    mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
+    mask = rng.random(x.data.shape)
+    np.greater_equal(mask, rate, out=mask)
+    mask /= 1.0 - rate
     return _result("dropout", x.data * mask, (x,), lambda g: (g * mask,))
 
 
@@ -421,15 +433,18 @@ def backward(loss: Tensor, add_leaf: Callable[[Tensor, Array], None] | None = No
 
     Gradients accumulate across calls; clear them between steps with
     zero_grads(). The traversal is iterative, so graph depth is not limited
-    by the interpreter recursion limit. ``add_leaf(leaf, g)``, when given, takes
-    each leaf's gradient in place of that accumulation; ``g`` may be shared with
-    other leaves or graph arrays, so it is only to be read.
+    by the interpreter recursion limit. A leaf's gradient is final, and handed
+    over, once the VJP of its last consumer has run: leaves near the loss come
+    first and those near the inputs last. ``add_leaf(leaf, g)``, when given,
+    takes each leaf's gradient in place of that accumulation; ``g`` may be shared
+    with other leaves or graph arrays, so it is only to be read.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
 
     ordered: list[Tensor] = []
     seen: set[int] = set()
+    consumers: dict[int, int] = {}  # per leaf: the records that read it, still to run
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         node, expanded = stack.pop()
@@ -442,27 +457,36 @@ def backward(loss: Tensor, add_leaf: Callable[[Tensor, Array], None] | None = No
         stack.append((node, True))
         if node.op is not None:
             for parent in node.op.inputs:
-                if parent.requires_grad and id(parent) not in seen:
-                    stack.append((parent, False))
+                if parent.requires_grad:
+                    if parent.op is None:
+                        consumers[id(parent)] = consumers.get(id(parent), 0) + 1
+                    if id(parent) not in seen:
+                        stack.append((parent, False))
+
+    if add_leaf is None:
+        def add_leaf(leaf: Tensor, g: Array) -> None:
+            leaf.grad = (np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad) + g
 
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(ordered):
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node.op is None:
-            if node.requires_grad and add_leaf is not None:
+        if node.op is None:  # only a leaf loss still has its gradient here
+            if g is not None and node.requires_grad:
                 add_leaf(node, g)
-            elif node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad = node.grad + g
             continue
-        for parent, pg in zip(node.op.inputs, node.op.vjp(g)):
-            if pg is None or not parent.requires_grad:
+        # The VJP's result tuple is not named, so a gradient handed over here is
+        # freed before the next VJP runs.
+        for parent, pg in zip(node.op.inputs, node.op.vjp(g) if g is not None
+                              else (None,) * len(node.op.inputs)):
+            if not parent.requires_grad:
                 continue
             pid = id(parent)
-            grads[pid] = grads[pid] + pg if pid in grads else pg
+            if pg is not None:
+                grads[pid] = grads[pid] + pg if pid in grads else pg
+            if parent.op is None:
+                consumers[pid] -= 1
+                if consumers[pid] == 0 and pid in grads:
+                    add_leaf(parent, grads.pop(pid))
 
 
 def zero_grads(tensors) -> None:

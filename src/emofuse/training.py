@@ -234,7 +234,9 @@ class _Training:
         self.link: lanes.Link | None = None
         names = list(params)
         arena = iter(lanes.shared([params[name].data.shape for name in names] * 4))
-        # Each old array is dropped as soon as it is copied, and its pages handed back.
+        # Each old array is dropped once copied; the heap's free pages are handed back
+        # before each table is copied, so no copy stacks on memory already freed.
+        lanes.release_freed()
         for p, view in zip(params.values(), arena):
             np.copyto(view, p.data)
             p.data = view
@@ -242,6 +244,7 @@ class _Training:
             p.grad = view
         self.grads = [p.grad for p in params.values()]
         for table in (opt.m, opt.v):
+            lanes.release_freed()
             for name, view in zip(names, arena):
                 np.copyto(view, table[name])
                 table[name] = view
@@ -279,13 +282,13 @@ class _Training:
         leaf's gradient into its accumulator (``leaf.grad``) in place, at its turn.
 
         An example takes one turn per parameter: the leaves in the order backward
-        reaches them, then the others in parameter order. Every example of a run takes
-        them in the order ``order`` holds, or raises before adding. Position 0 writes
-        ``g + 0.0``, the bits of ``0 + g`` (zeros for a leaf it does not reach), so
-        nothing is zeroed between steps; the others add ``grad += g``. On two lanes
-        each turn is given on to the other lane, and above position 0 first taken from
-        it, so each leaf's gradients enter in example order; a leaf reached before its
-        turn is held until it comes.
+        hands them over (the head first, the embeddings last), then the others in
+        parameter order. Every example of a run takes them in the order ``order``
+        holds, or raises before adding. Position 0 writes ``g + 0.0``, the bits of
+        ``0 + g`` (zeros for a leaf it does not reach), so nothing is zeroed between
+        steps; the others add ``grad += g``. On two lanes each turn is given on to the
+        other lane, and above position 0 first taken from it, so each leaf's gradients
+        enter in example order; a leaf handed over before its turn waits for it.
         """
         link = self.link
         waits = link is not None and position > 0

@@ -406,14 +406,22 @@ class TestEvaluate:
         assert str(path) in err and "Traceback" not in err
         assert not (tmp_path / "eval_metrics.csv").exists()
 
-    def test_missing_split_rejected(self, workspace, tmp_path):
-        out = tmp_path / "ft"
-        assert TestFinetune().run_finetune(workspace, out, []) == 0
-        assert main(["evaluate", "--model", str(out / "model.ckpt"),
+    def test_missing_split_rejected(self, workspace, tmp_path, capsys):
+        """An unknown --split exits 2 naming the dataset file and the splits it has."""
+        cfg = EncoderConfig(1, 16, 2, 32, 17, 64)
+        path = tmp_path / "model.ckpt"
+        model = FusionModel.init("shallow", cfg, cfg, 8, 0, np.random.default_rng(0))
+        save_fusion_checkpoint(path, model, label_mode="categorical")
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(path),
                      "--dataset", f"{workspace}/dataset.jsonl",
                      "--vocab", f"{workspace}/vocab.txt",
                      "--codebook", f"{workspace}/codebook.bin",
-                     "--out-dir", str(out), "--split", "nope"]) == 2
+                     "--out-dir", str(tmp_path), "--split", "nope"]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {workspace}/dataset.jsonl: no split 'nope'; the file has "
+            "'test', 'train', 'valid'\n")
+        assert not (tmp_path / "eval_metrics.csv").exists()
 
 
 class TestAblate:

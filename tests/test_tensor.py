@@ -1,13 +1,18 @@
 """Tensor core: forward oracles, gradient checks, dropout statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erf
 
+from emofuse import encoder
 from emofuse import tensor as T
+from emofuse.encoder import EncoderConfig, EncoderState
 from emofuse.errors import InputError, NumericError, ShapeError, UsageError
+from emofuse.tokens import CLS, TokenSequence
 
 from conftest import assert_grads_match, sum_all
 
@@ -518,3 +523,159 @@ class TestDropout:
     def test_missing_rng_rejected(self):
         with pytest.raises(UsageError):
             T.dropout(T.Tensor([[1.0]]), 0.5, None, train_mode=True)
+
+
+class TestLeafHandOver:
+    """backward hands each leaf its gradient once, as soon as its last consumer's VJP
+    has run."""
+
+    WIDTH, DEPTH = 256, 8
+
+    def chain(self, rng):
+        """A loss over ``DEPTH`` stacked ``WIDTH``-wide linear layers, their weights and
+        biases, and each layer's output."""
+        h = T.Tensor(rng.standard_normal((4, self.WIDTH)))
+        ws, bs, outs = [], [], []
+        for _ in range(self.DEPTH):
+            ws.append(T.Tensor(rng.standard_normal((self.WIDTH, self.WIDTH)) / 16.0,
+                               requires_grad=True))
+            bs.append(T.Tensor(rng.standard_normal(self.WIDTH), requires_grad=True))
+            h = T.linear(h, ws[-1], bs[-1])
+            outs.append(h)
+        return sum_all(T.mul(h, h)), ws, bs, outs
+
+    def test_each_weight_is_handed_over_before_the_layer_below_runs(self, rng):
+        loss, ws, bs, outs = self.chain(rng)
+        events = []
+        for i, out in enumerate(outs):
+            vjp = out.op.vjp
+            out.op.vjp = lambda g, i=i, vjp=vjp: (events.append(("vjp", i)), vjp(g))[1]
+        names = {id(p): (kind, i) for kind, ps in (("w", ws), ("b", bs))
+                 for i, p in enumerate(ps)}
+        T.backward(loss, add_leaf=lambda leaf, g: events.append(names[id(leaf)]))
+        assert sorted(e for e in events if e[0] != "vjp") == sorted(names.values())
+        for i in range(1, self.DEPTH):
+            assert events.index(("w", i)) < events.index(("vjp", i - 1))
+
+    def test_backward_peak_stays_under_two_weight_gradients(self, rng):
+        loss, ws, bs, _ = self.chain(rng)
+        sums = {id(p): np.zeros_like(p.data) for p in ws + bs}
+
+        def add(leaf, g):
+            sums[id(leaf)] += g
+
+        tracemalloc.start()
+        try:
+            T.backward(loss, add_leaf=add)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * ws[0].data.nbytes
+        T.backward(loss)
+        assert all(sums[id(p)].tobytes() == p.grad.tobytes() for p in ws + bs)
+
+    def test_each_leaf_is_handed_over_once_the_tied_embedding_too(self):
+        cfg = EncoderConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab_size=11,
+                            max_len=12, dropout_rate=0.1)
+        state = EncoderState.init(cfg, np.random.default_rng(0))
+        seq = TokenSequence("speech", (CLS, 5, 6, 7, 8, 9, 10, 5, 6, 7))
+        corrupted, targets = encoder.mask_corrupt(seq, 0.3, np.random.default_rng(1),
+                                                  cfg.vocab_size)
+        loss = encoder.masked_lm_loss(state, corrupted, targets, train_mode=True,
+                                      rng=np.random.default_rng(2))
+        names = {id(p): name for name, p in state.params.items()}
+        handed = []
+        T.backward(loss, add_leaf=lambda leaf, g: handed.append((names[id(leaf)], g.copy())))
+        order = [name for name, _ in handed]
+        assert sorted(order) == sorted(state.params)
+        # The tied embedding's last consumer is the embedding lookup, at the bottom.
+        assert order.index("mlm_bias") < order.index("final_ln.g") < order.index("tok_emb")
+        T.backward(loss)
+        for name, g in handed:
+            assert (0.0 + g).tobytes() == state.params[name].grad.tobytes()
+
+
+def parent_linear(x, w, b):
+    def vjp(g):
+        rows = x.reshape(-1, w.shape[0])
+        return g @ w.T, rows.T @ g.reshape(-1, w.shape[1]), T._unbroadcast(g, b.shape)
+
+    return x @ w + b, vjp
+
+
+def parent_layer_norm(x, gain, bias, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+
+    def vjp(g):
+        dxhat = g * gain
+        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        return dx, T._unbroadcast(g * xhat, gain.shape), T._unbroadcast(g, bias.shape)
+
+    return xhat * gain + bias, vjp
+
+
+def parent_gelu(x):
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+
+    def vjp(g):
+        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        return (g * (cdf + x * pdf),)
+
+    return x * cdf, vjp
+
+
+def parent_softmax_rows(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    return y, lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+
+
+def parent_dropout(x, rate, rng):
+    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    return x * mask, lambda g: (g * mask,)
+
+
+class TestInPlaceOps:
+    """The ops that compute in place give the bytes of their one-expression forms,
+    forward and VJP, and a VJP changes neither its ``g`` nor what it captured."""
+
+    @staticmethod
+    def build(op, x, row_shape, rng):
+        """The op on ``x`` (and its other inputs, drawn from ``rng``), and the
+        one-expression form's output and VJP."""
+        if op == "linear":
+            w = rng.standard_normal((x.shape[-1], 24))
+            b = rng.standard_normal(row_shape[:-1] + (24,))
+            return T.linear(T.Tensor(x, True), T.Tensor(w, True), T.Tensor(b, True)), \
+                parent_linear(x, w, b)
+        if op == "layer_norm":
+            gain, bias = rng.standard_normal(row_shape), rng.standard_normal(row_shape)
+            return T.layer_norm(T.Tensor(x, True), T.Tensor(gain, True), T.Tensor(bias, True)), \
+                parent_layer_norm(x, gain, bias)
+        if op == "dropout":
+            seed = int(rng.integers(1 << 30))
+            return T.dropout(T.Tensor(x, True), 0.3, np.random.default_rng(seed)), \
+                parent_dropout(x, 0.3, np.random.default_rng(seed))
+        fn = {"gelu": (T.gelu, parent_gelu), "softmax_rows": (T.softmax_rows, parent_softmax_rows)}
+        return fn[op][0](T.Tensor(x, True)), fn[op][1](x)
+
+    @pytest.mark.parametrize("op", ["linear", "layer_norm", "gelu", "softmax_rows", "dropout"])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("row_shape", [(16,), (1, 16)])
+    def test_bytes_match_the_one_expression_forms(self, rng, op, lead, row_shape):
+        x = 3.0 * rng.standard_normal((*lead, 5, 16))
+        got, (want, want_vjp) = self.build(op, x, row_shape, rng)
+        g = rng.standard_normal(got.shape)
+        g_bytes, out_bytes = g.tobytes(), got.data.tobytes()
+        assert got.shape == want.shape and out_bytes == want.tobytes()
+        first, second, expected = got.op.vjp(g), got.op.vjp(g), want_vjp(g)
+        assert len(first) == len(expected)
+        for a, b, c in zip(first, second, expected):
+            assert a.shape == b.shape == c.shape
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+        assert g.tobytes() == g_bytes and got.data.tobytes() == out_bytes
