@@ -646,8 +646,8 @@ class TestInPlaceOps:
 
     @staticmethod
     def build(op, x, row_shape, rng):
-        """The op on ``x`` (and its other inputs, drawn from ``rng``), and the
-        one-expression form's output and VJP."""
+        """The op on ``x`` (its bias, gain and bias rows of ``row_shape``, drawn from
+        ``rng``), and the one-expression form's output and VJP."""
         if op == "linear":
             w = rng.standard_normal((x.shape[-1], 24))
             b = rng.standard_normal(row_shape[:-1] + (24,))
@@ -664,12 +664,15 @@ class TestInPlaceOps:
         fn = {"gelu": (T.gelu, parent_gelu), "softmax_rows": (T.softmax_rows, parent_softmax_rows)}
         return fn[op][0](T.Tensor(x, True)), fn[op][1](x)
 
-    @pytest.mark.parametrize("op", ["linear", "layer_norm", "gelu", "softmax_rows", "dropout"])
+    @pytest.mark.parametrize("op, row_shape", [
+        ("linear", (16,)), ("linear", (1, 16)), ("layer_norm", (16,)), ("layer_norm", (1, 16)),
+        ("gelu", None), ("softmax_rows", None), ("dropout", None)])
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
-    @pytest.mark.parametrize("row_shape", [(16,), (1, 16)])
     def test_bytes_match_the_one_expression_forms(self, rng, op, lead, row_shape):
         x = 3.0 * rng.standard_normal((*lead, 5, 16))
+        x_bytes = x.tobytes()
         got, (want, want_vjp) = self.build(op, x, row_shape, rng)
+        assert x.tobytes() == x_bytes  # the parent form reads the same input
         g = rng.standard_normal(got.shape)
         g_bytes, out_bytes = g.tobytes(), got.data.tobytes()
         assert got.shape == want.shape and out_bytes == want.tobytes()
@@ -679,3 +682,4 @@ class TestInPlaceOps:
             assert a.shape == b.shape == c.shape
             assert a.tobytes() == b.tobytes() == c.tobytes()
         assert g.tobytes() == g_bytes and got.data.tobytes() == out_bytes
+        assert x.tobytes() == x_bytes
