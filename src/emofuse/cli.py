@@ -229,14 +229,12 @@ def cmd_pretrain(args) -> int:
     examples = _train_examples(load_jsonl(args.dataset), args.dataset)
     codebook = Codebook.load(args.codebook)
     corpus = [discretize(ex.frames, codebook, max_len=args.speech_max_len) for ex in examples]
-    vocab_size = 5 + codebook.k
+    speech_cfg = _encoder_config(args, "speech", 5 + codebook.k)
 
     start_step = 0
     if args.resume:
         manifest.add_input(args.resume)
-        state, meta, extras = load_encoder_checkpoint(args.resume)
-        if state.cfg.vocab_size != vocab_size:
-            raise InputError(f"{args.resume}: resume checkpoint vocabulary does not match the codebook")
+        state, meta, extras = _load_speech_encoder(args.resume, speech_cfg)
         start_step = meta.get("step")
         if type(start_step) is not int or start_step < 0:
             raise InputError(f"{args.resume}: no optimizer step (meta 'step') to resume from")
@@ -244,8 +242,7 @@ def cmd_pretrain(args) -> int:
                        for n, p in state.params.items()} for k in "mv"}
         opt = AdamState(**moments, step=start_step)
     else:
-        state = EncoderState.init(_encoder_config(args, "speech", vocab_size),
-                                  np.random.default_rng(args.seed))
+        state = EncoderState.init(speech_cfg, np.random.default_rng(args.seed))
         opt = AdamState.fresh(state.params)
 
     cfg = _train_config(args, total_steps=args.steps)
@@ -274,16 +271,16 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _load_pretrained_speech(path, model: FusionModel, manifest: Manifest) -> None:
-    """Give ``model`` a pretrained speech encoder's parameters; its sizes must match."""
-    manifest.add_input(path)
-    state, _, _ = load_encoder_checkpoint(path)
+def _load_speech_encoder(path, cfg: EncoderConfig):
+    """The speech encoder of checkpoint ``path`` under ``cfg``, with its meta and extra
+    blocks: its sizes must be ``cfg``'s, and it takes ``cfg``'s dropout rate."""
+    state, meta, extras = load_encoder_checkpoint(path)
     for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_len"):
-        have, want = getattr(state.cfg, name), getattr(model.speech.cfg, name)
+        have, want = getattr(state.cfg, name), getattr(cfg, name)
         if have != want:
             raise InputError(f"{path}: pretrained speech encoder has {name} {have}, "
                              f"the requested configuration has {want}")
-    model.speech.params = state.params
+    return EncoderState(cfg, state.params), meta, extras
 
 
 def _check_freeze(fusion: str, freeze: str) -> dict[str, bool]:
@@ -325,7 +322,8 @@ def _train_one(args, manifest, splits, speech_cfg, text_cfg, fusion, freeze, see
                              args.coattn_heads, np.random.default_rng(seed),
                              fusion_dropout=args.dropout)
     if speech_checkpoint and model.speech is not None:
-        _load_pretrained_speech(speech_checkpoint, model, manifest)
+        manifest.add_input(speech_checkpoint)
+        model.speech.params = _load_speech_encoder(speech_checkpoint, model.speech.cfg)[0].params
     cfg = _train_config(args, seed=seed, **freeze_flags)
     result = run_finetune(splits["train"], splits.get("valid", []), model, cfg,
                           epochs=args.epochs, label_mode=args.label_mode)

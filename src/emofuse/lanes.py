@@ -6,8 +6,8 @@ encoder stacks. Training spends much of its time in Python itself (graph buildin
 ``backward``'s loop), which a thread cannot overlap, so a training function forks
 one ``Worker`` process instead, linked to it by a pipe and by turns (``Link``).
 Two lanes run with at least 2 CPUs and a BLAS pinned to one thread by the
-environment (a BLAS thread pool would not survive the fork); with one lane the
-helper's work runs inline and no worker is forked, in the same functions."""
+environment (a BLAS thread pool would not survive the fork); with one lane ``share``
+is a plain loop and no worker is forked, in the same functions."""
 
 import collections
 import contextvars
@@ -37,21 +37,13 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 helper = futures.ThreadPoolExecutor(1, "emofuse-helper") if _CPUS >= 2 and _blas_pinned() else None
 
 
-def submit(fn, *args) -> futures.Future:
-    """``fn(*args)`` on the helper after the work submitted before it, in the caller's
-    context (``np.errstate`` included), its result or error kept in the future; with
-    one lane, run here and now."""
-    if helper is not None:
-        return helper.submit(contextvars.copy_context().run, fn, *args)
-    done = futures.Future()
-    done.set_result(fn(*args))
-    return done
-
-
 def share(fn, items: list) -> list:
-    """``[fn(item) for item in items]``: this thread and the helper each take the next
-    unclaimed item until none are left. After an error nothing more is claimed, and
-    the error propagates once the helper's current item has finished."""
+    """``[fn(item) for item in items]``. With two lanes, this thread and the helper each
+    take the next unclaimed item until none are left, the helper in the caller's context
+    (``np.errstate`` included). After an error nothing more is claimed, and the error
+    propagates once the helper's current item has finished."""
+    if helper is None:
+        return [fn(item) for item in items]
     results = [None] * len(items)
     claims = iter(range(len(items)))  # next() on it is atomic under the GIL
 
@@ -62,7 +54,7 @@ def share(fn, items: list) -> list:
         finally:
             list(claims)  # after an error, leave nothing to claim
 
-    helping = submit(drain)
+    helping = helper.submit(contextvars.copy_context().run, drain)
     try:
         drain()
     finally:

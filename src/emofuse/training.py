@@ -1,4 +1,4 @@
-"""Optimization engine: Adam with warmup + polynomial decay, pretraining and fine-tuning.
+"""Optimization engine: Adam with warmup + linear decay, pretraining and fine-tuning.
 
 Every optimizer step of every loop (pretraining, the overfit diagnostic and
 fine-tuning) goes through ``_update``, the one home of the gradient
@@ -9,7 +9,8 @@ lanes a forked worker runs every other example and half of each step's gradient
 passes and Adam update (``_Training``), with the same bits. Every random draw of a
 loop comes from a generator of the run's seed and a counter (``_generator``).
 Frozen components run in eval mode (acting purely as feature extractors) and
-their outputs are computed once per distinct token sequence and cached.
+their outputs are computed once per distinct token sequence, into a table keyed by
+token IDs.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .tokens import TokenSequence
 
 # Bytes of encoder outputs an evaluation chunk holds, each counted at its max_len.
 EVAL_BYTES = 32 << 20
+# Adam's moment decay rates and the floor added to its denominator.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -39,20 +42,17 @@ class TrainConfig:
 
     warmup_steps and total_steps may be left unset; run_finetune resolves
     total_steps from epochs and dataset size, and warmup defaults to 6% of
-    total. peak_lr 1e-5 and batch_size 16 are the reference operating point
-    for fine-tuning. Dropout is not set here: each encoder takes its rate from
+    total. The rate ramps up to peak_lr over warmup and decays linearly to 0
+    (``lr_at``). peak_lr 1e-5 and batch_size 16 are the reference operating point
+    for fine-tuning. Adam's constants are the module's BETA1, BETA2 and EPS.
+    Dropout is not set here: each encoder takes its rate from
     ``EncoderConfig.dropout_rate`` and fusion from ``FusionModel.fusion_dropout``.
     """
 
     peak_lr: float = 1e-5
     warmup_steps: int | None = None
     total_steps: int | None = None
-    end_lr: float = 0.0
-    power: float = 1.0
     batch_size: int = 16
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     grad_clip: float | None = None
     seed: int = 0
     freeze_speech: bool = False
@@ -84,7 +84,7 @@ class TrainConfig:
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
-    """Linear ramp 0 -> peak over warmup, then polynomial decay to end_lr.
+    """Linear ramp 0 -> peak over warmup, then linear decay to 0 at total_steps.
 
     Both formulas give peak_lr at the warmup boundary.
     """
@@ -97,7 +97,7 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
     if cfg.total_steps == cfg.warmup_steps:
         return cfg.peak_lr
     frac = (step - cfg.warmup_steps) / (cfg.total_steps - cfg.warmup_steps)
-    return cfg.end_lr + (cfg.peak_lr - cfg.end_lr) * (1.0 - frac) ** cfg.power
+    return cfg.peak_lr * (1.0 - frac)
 
 
 @dataclass
@@ -136,7 +136,6 @@ def adam_step(
     grads: dict[str, np.ndarray],
     opt: AdamState,
     lr: float,
-    cfg: TrainConfig,
     worker: lanes.Worker | None = None,
 ) -> None:
     """Bias-corrected Adam update, in place, of the parameters ``grads`` names.
@@ -153,30 +152,30 @@ def adam_step(
     if worker is None:
         _check_finite(grads)
     else:
-        worker.send("adam", lr, opt.step + 1, cfg)
+        worker.send("adam", lr, opt.step + 1)
     opt.step += 1
-    _adam_update(params, grads, opt, lr, opt.step, cfg)
+    _adam_update(params, grads, opt, lr, opt.step)
     if worker is not None:
         _expect(worker.recv(), "done")
 
 
-def _adam_update(params, grads, opt, lr, step, cfg) -> None:
+def _adam_update(params, grads, opt, lr, step) -> None:
     """``adam_step``'s update of the parameters ``grads`` names, at Adam step ``step``."""
-    bc1 = 1.0 - cfg.beta1 ** step
-    bc2 = 1.0 - cfg.beta2 ** step
+    bc1 = 1.0 - BETA1 ** step
+    bc2 = 1.0 - BETA2 ** step
     for name, g in grads.items():
         p, m, v = params[name], opt.m[name], opt.v[name]
         scratch, update = np.empty_like(m), np.empty_like(m)
-        np.multiply(g, 1.0 - cfg.beta1, out=scratch)
-        m *= cfg.beta1
+        np.multiply(g, 1.0 - BETA1, out=scratch)
+        m *= BETA1
         m += scratch
-        np.multiply(g, 1.0 - cfg.beta2, out=scratch)
+        np.multiply(g, 1.0 - BETA2, out=scratch)
         scratch *= g
-        v *= cfg.beta2
+        v *= BETA2
         v += scratch
         denom = np.divide(v, bc2, out=scratch)
         np.sqrt(denom, out=denom)
-        denom += cfg.eps
+        denom += EPS
         np.divide(m, bc1, out=update)
         update *= lr
         update /= denom
@@ -350,9 +349,8 @@ class _Training:
             for p in half.values():
                 p.grad *= args[0]
         elif kind == "adam":
-            lr, step, cfg = args
-            _adam_update(self.params, {n: p.grad for n, p in half.items()}, self.opt,
-                         lr, step, cfg)
+            lr, step = args
+            _adam_update(self.params, {n: p.grad for n, p in half.items()}, self.opt, lr, step)
             link.send("done")
         else:
             raise UsageError(f"unknown lane message {kind!r}")
@@ -373,37 +371,40 @@ def _update(run: _Training, step: int, indices, lr: float, cfg: TrainConfig,
     and backwards overlap. The lane that did not run the batch's last example follows
     its turns; then each lane divides, checks and (under ``grad_clip``) sums its half
     of the gradients, and the worker sends its sums and losses back. Nothing changes
-    until both halves pass the check.
+    until both halves pass the check. A NumericError of either lane names the step.
     """
     worker, n = run.link, len(indices)
     losses = [0.0] * n
-    if worker is not None:
-        for k in range(1, n, 2):
-            worker.send("example", step, k, indices[k])
-        worker.send("collect", n, cfg.grad_clip)
-    for k in range(0, n, 1 if worker is None else 2):
-        loss = run.forward(step, k, indices[k])
-        losses[k] = loss.item()
-        run.backward(loss, k)
-        del loss
-    if worker is not None and n % 2 == 0:
-        run.follow()
-    grads = collect_gradients(run.halves[0], n)
-    squares = _squares(grads, cfg.grad_clip)
-    if worker is not None:
-        _check_finite(grads)  # while the worker checks its half; the first half comes first
-        losses[1::2], theirs = _expect(worker.recv(), "collected")
-        squares += theirs
-    for value in losses:
-        total += value
-    norm = np.sqrt(sum(squares))
-    if cfg.grad_clip is not None and norm > cfg.grad_clip:
-        factor = cfg.grad_clip / norm
-        for g in grads.values():
-            g *= factor
+    try:
         if worker is not None:
-            worker.send("scale", factor)
-    adam_step(run.params, grads, run.opt, lr, cfg, worker=worker)
+            for k in range(1, n, 2):
+                worker.send("example", step, k, indices[k])
+            worker.send("collect", n, cfg.grad_clip)
+        for k in range(0, n, 1 if worker is None else 2):
+            loss = run.forward(step, k, indices[k])
+            losses[k] = loss.item()
+            run.backward(loss, k)
+            del loss
+        if worker is not None and n % 2 == 0:
+            run.follow()
+        grads = collect_gradients(run.halves[0], n)
+        squares = _squares(grads, cfg.grad_clip)
+        if worker is not None:
+            _check_finite(grads)  # while the worker checks its half; this half comes first
+            losses[1::2], theirs = _expect(worker.recv(), "collected")
+            squares += theirs
+        for value in losses:
+            total += value
+        norm = np.sqrt(sum(squares))
+        if cfg.grad_clip is not None and norm > cfg.grad_clip:
+            factor = cfg.grad_clip / norm
+            for g in grads.values():
+                g *= factor
+            if worker is not None:
+                worker.send("scale", factor)
+        adam_step(run.params, grads, run.opt, lr, worker=worker)
+    except NumericError as err:
+        raise NumericError(f"optimizer step {step}: {err}") from err
     return total
 
 
@@ -511,28 +512,6 @@ def predict_score(logits_data: np.ndarray) -> float:
     return float(logits_data[0, 0])
 
 
-class _EncoderCache:
-    """Eval-mode outputs of a frozen encoder, keyed by token IDs, never by example id.
-
-    Eval-mode forward is a pure function of (state, sequence).
-    """
-
-    def __init__(self, state: EncoderState):
-        self.state = state
-        self._outputs: dict[tuple[int, ...], object] = {}
-
-    def get(self, seq: TokenSequence):
-        if seq.ids not in self._outputs:
-            self._outputs[seq.ids] = forward(seq, self.state, train_mode=False)
-        return self._outputs[seq.ids]
-
-    def fill(self, seqs: list[TokenSequence]) -> None:
-        """Cache the outputs of ``seqs`` in length groups (``forward_many``, bitwise
-        ``forward``'s)."""
-        new = list({seq.ids: seq for seq in seqs if seq.ids not in self._outputs}.values())
-        self._outputs.update(zip((seq.ids for seq in new), forward_many(new, self.state)))
-
-
 @dataclass
 class FinetuneResult:
     model: FusionModel
@@ -542,16 +521,16 @@ class FinetuneResult:
     optimizer: AdamState | None = None
 
 
-def _model_outputs(model, ex, train_mode, rng, caches):
+def _model_outputs(model, ex, train_mode, rng, tables):
     """The outputs of ``model.encoders()`` for ``ex``, in that order; a frozen
-    encoder's come from its cache in ``caches``."""
-    return [caches[modality].get(getattr(ex, modality)) if modality in caches
+    encoder's come from its table in ``tables``, by token IDs."""
+    return [tables[modality][getattr(ex, modality).ids] if modality in tables
             else forward(getattr(ex, modality), state, train_mode=train_mode, rng=rng)
             for modality, state in model.encoders().items()]
 
 
-def _example_loss(model, ex, label_mode, train_mode, rng, caches):
-    outputs = _model_outputs(model, ex, train_mode, rng, caches)
+def _example_loss(model, ex, label_mode, train_mode, rng, tables):
+    outputs = _model_outputs(model, ex, train_mode, rng, tables)
     fused = model.fuse(*outputs, train_mode=train_mode, rng=rng)
     if label_mode == "categorical":
         return classification_loss(fused.logits, int(ex.target))
@@ -563,19 +542,20 @@ def evaluate_model(
     examples: list[TokenizedExample],
     label_mode: str,
     class_names=None,
-    caches: dict[str, _EncoderCache] | None = None,
+    tables: dict[str, dict] | None = None,
 ):
     """Eval-mode predictions over a split, summarized as a MetricReport.
 
-    ``caches`` serves frozen encoders' outputs by modality; the others run
-    ``forward_many`` over chunks of examples whose outputs take at most EVAL_BYTES.
-    Each example is then fused on its own. Nothing is differentiated: no graph.
+    ``tables`` holds frozen encoders' outputs by modality, each keyed by token IDs
+    and holding every example's sequence; the other encoders run ``forward_many``
+    over chunks of examples whose outputs take at most EVAL_BYTES. Each example is
+    then fused on its own. Nothing is differentiated: no graph.
     """
     if not examples:
         raise InputError("cannot evaluate on an empty example list")
     if label_mode not in HEAD_OUTPUTS:
         raise InputError(f"unknown label mode {label_mode!r}")
-    caches = caches or {}
+    tables = tables or {}
     predict, gold = (predict_class, int) if label_mode == "categorical" else (predict_score, float)
     preds, golds = [], []
     size = max(1, EVAL_BYTES // sum(8 * s.cfg.max_len * s.cfg.d_model
@@ -584,7 +564,7 @@ def evaluate_model(
         for start in range(0, len(examples), size):
             chunk = examples[start : start + size]
             # A generator, so no chunk's outputs outlive the statement that fuses them.
-            encoded = ([caches[m].get(getattr(ex, m)) for ex in chunk] if m in caches
+            encoded = ([tables[m][getattr(ex, m).ids] for ex in chunk] if m in tables
                        else forward_many([getattr(ex, m) for ex in chunk], state)
                        for m, state in model.encoders().items())
             preds += [predict(model.fuse(*outs).logits.data) for outs in zip(*encoded)]
@@ -605,8 +585,8 @@ def run_finetune(
     """Train the fusion model; keep the parameters of the best validation epoch.
 
     Freeze flags drop the corresponding encoder's parameters from the
-    optimizer entirely and serve its features from an eval-mode cache, so
-    frozen parameters never change, bitwise. The validation metric is
+    optimizer entirely and serve its features from a table of its eval-mode
+    outputs, so frozen parameters never change, bitwise. The validation metric is
     unweighted 4-class accuracy (higher wins) in categorical mode and MAE
     (lower wins) in score mode.
     """
@@ -620,9 +600,13 @@ def run_finetune(
     frozen = {"speech": cfg.freeze_speech, "text": cfg.freeze_text}
     for modality, state in model.encoders().items():
         state.set_requires_grad(not frozen[modality])
-    caches = {m: _EncoderCache(state) for m, state in model.encoders().items() if frozen[m]}
-    for modality, cache in caches.items():  # before a worker forks, so it inherits them
-        cache.fill([getattr(ex, modality) for ex in train + valid])
+    # Each frozen encoder's outputs of the train and valid sequences, keyed by token IDs
+    # (never by example id), computed before a worker forks, so it inherits them.
+    tables = {}
+    for modality, state in model.encoders().items():
+        if frozen[modality]:
+            seqs = [getattr(ex, modality) for ex in train + valid]
+            tables[modality] = dict(zip([seq.ids for seq in seqs], forward_many(seqs, state)))
     trainable = {name: p for name, p in model.named_params().items() if p.requires_grad}
     opt = AdamState.fresh(trainable)
     history: list[dict] = []
@@ -633,7 +617,7 @@ def run_finetune(
     step = 0
 
     def example_loss(i, rng):
-        return _example_loss(model, train[i], label_mode, True, rng, caches)
+        return _example_loss(model, train[i], label_mode, True, rng, tables)
 
     with _Training(trainable, opt, example_loss, cfg.seed) as run:
         for epoch in range(1, epochs + 1):
@@ -646,7 +630,7 @@ def run_finetune(
                                      total=epoch_loss)
             history.append({"epoch": epoch, "split": "train", "metric": "loss",
                             "value": epoch_loss / len(train)})
-            report = evaluate_model(model, valid, label_mode, caches=caches) if valid else None
+            report = evaluate_model(model, valid, label_mode, tables=tables) if valid else None
             if report is not None:
                 if label_mode == "categorical":
                     metric_name, value, better = "accuracy4", report.accuracy4, lambda a, b: a > b

@@ -8,6 +8,7 @@ import pytest
 
 from emofuse import lanes
 from emofuse import tensor as T
+from emofuse.training import BETA1, BETA2, EPS
 
 
 def sum_all(a):
@@ -99,19 +100,19 @@ def per_head_attention(x, kv, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
     return T.matmul(T.concat_cols(heads), wo) + bo, np.stack(weights)
 
 
-def out_of_place_adam_step(params, grads, opt, lr, cfg):
+def out_of_place_adam_step(params, grads, opt, lr):
     """Reference oracle for ``training.adam_step``: the textbook bias-corrected
     update, each step allocating new moment and parameter arrays."""
     opt.step += 1
-    bc1 = 1.0 - cfg.beta1 ** opt.step
-    bc2 = 1.0 - cfg.beta2 ** opt.step
+    bc1 = 1.0 - BETA1 ** opt.step
+    bc2 = 1.0 - BETA2 ** opt.step
     for name, p in params.items():
         g = grads[name]
-        opt.m[name] = cfg.beta1 * opt.m[name] + (1.0 - cfg.beta1) * g
-        opt.v[name] = cfg.beta2 * opt.v[name] + (1.0 - cfg.beta2) * g * g
+        opt.m[name] = BETA1 * opt.m[name] + (1.0 - BETA1) * g
+        opt.v[name] = BETA2 * opt.v[name] + (1.0 - BETA2) * g * g
         m_hat = opt.m[name] / bc1
         v_hat = opt.v[name] / bc2
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def full_tensor_nearest_centroid(frames, centroids):

@@ -155,10 +155,11 @@ class TestPretrain:
         first_loss = float(first_log[0].split()[2])
         assert abs(first_loss - np.log(17)) < 0.05 * np.log(17)
 
-        assert main(["pretrain", *base, "--steps", "7",
+        assert main(["pretrain", *base, "--steps", "7", "--dropout", "0.2",
                      "--resume", str(out / "speech_encoder.ckpt")]) == 0
-        _, meta, _ = load_encoder_checkpoint(out / "speech_encoder.ckpt")
+        state, meta, _ = load_encoder_checkpoint(out / "speech_encoder.ckpt")
         assert meta["step"] == 7
+        assert state.cfg.dropout_rate == 0.2  # --dropout applies to a resumed encoder
         resumed_log = (out / "pretrain.log").read_text().splitlines()
         assert resumed_log[0].startswith("5 ")
 
@@ -240,18 +241,28 @@ class TestFinetune:
         assert self.run_finetune(
             workspace, tmp_path, ["--speech-checkpoint", str(tmp_path / "nope.ckpt")]) == 2
 
-    def test_pretrained_config_mismatch_is_input_error(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["finetune", "pretrain"])
+    def test_pretrained_config_mismatch_is_input_error(self, workspace, tmp_path, capsys,
+                                                       command):
+        """A speech checkpoint whose sizes contradict the --speech-* flags exits 2 naming
+        the file and the field: finetune's --speech-checkpoint, or pretrain --resume."""
+        pretrain = ["pretrain", "--dataset", f"{workspace}/dataset.jsonl",
+                    "--codebook", f"{workspace}/codebook.bin", "--batch-size", "2",
+                    "--seed", "0", *TINY_ARCH]
         pre = tmp_path / "pre"
-        assert main(["pretrain", "--dataset", f"{workspace}/dataset.jsonl",
-                     "--codebook", f"{workspace}/codebook.bin", "--out-dir", str(pre),
-                     "--steps", "1", "--batch-size", "2", "--seed", "0",
-                     *TINY_ARCH, "--speech-layers", "2"]) == 0
+        assert main([*pretrain, "--out-dir", str(pre), "--steps", "1",
+                     "--speech-layers", "2"]) == 0
         ckpt = pre / "speech_encoder.ckpt"
         capsys.readouterr()
-        assert self.run_finetune(workspace, tmp_path / "ft",
-                                 ["--speech-checkpoint", str(ckpt)]) == 2
+        out = tmp_path / "again"
+        if command == "finetune":
+            code = self.run_finetune(workspace, out, ["--speech-checkpoint", str(ckpt)])
+        else:
+            code = main([*pretrain, "--out-dir", str(out), "--steps", "2", "--resume", str(ckpt)])
+        assert code == 2
         err = capsys.readouterr().err
         assert str(ckpt) in err and "n_layers" in err
+        assert not list(out.glob("*.ckpt"))
 
     def test_incoherent_freeze_combo_is_usage_error(self, workspace, tmp_path):
         assert self.run_finetune(
@@ -669,7 +680,7 @@ def test_numeric_failure_prints_only_its_message(workspace, tmp_path, pin):
     proc = subprocess.run([sys.executable, "-m", "emofuse.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 3
-    assert proc.stderr == "numeric error: softmax_rows: NaN or +inf in input\n"
+    assert proc.stderr == "numeric error: optimizer step 2: softmax_rows: NaN or +inf in input\n"
     assert not (tmp_path / "out" / "model.ckpt").exists()
 
 

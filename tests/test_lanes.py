@@ -403,7 +403,8 @@ def test_non_finite_gradient_in_the_workers_half_changes_nothing(set_lanes, work
         return str(err.value), halves[0]
 
     (one, half1), (two, half2) = across_lanes(set_lanes, run, workers)
-    assert one == two == f"non-finite (NaN or inf) gradient for parameter {poisoned_names[0]!r}"
+    assert one == two == ("optimizer step 2: non-finite (NaN or inf) gradient for parameter "
+                          f"{poisoned_names[0]!r}")
     assert half1 == names and names[0] in half2 and names[-1] not in half2
 
 
@@ -450,7 +451,7 @@ def test_share_keeps_order_and_stops_claiming_after_an_error(set_lanes):
     with pytest.raises(NumericError, match="item 3"):
         lanes.share(fn, list(range(50)))
     assert len(claimed) < 10
-    assert lanes.submit(len, claimed).result() == len(claimed)  # the helper is idle
+    assert lanes.helper.submit(len, claimed).result() == len(claimed)  # the helper is idle
 
 
 @pytest.mark.parametrize("env, pinned", [
@@ -547,9 +548,10 @@ def test_numeric_error_in_the_worker_exits_3_like_one_lane(set_lanes, workers, w
     monkeypatch.setattr(training, "collect_gradients", poisoned)
     for bad in (None, np.nan, np.inf, -np.inf):
         poison[:] = [] if bad is None else [bad]
-        found, message = ((bad_id, f"example {bad_id} went non-finite") if bad is None else
-                          ("fusion.head.b",
-                           "non-finite (NaN or inf) gradient for parameter 'fusion.head.b'"))
+        found, message = ((bad_id, f"optimizer step 1: example {bad_id} went non-finite")
+                          if bad is None else
+                          ("fusion.head.b", "optimizer step 1: non-finite (NaN or inf) gradient "
+                                            "for parameter 'fusion.head.b'"))
         results = []
         for n in (1, 2):
             set_lanes(n)
@@ -619,7 +621,7 @@ def test_worker_killed_mid_backward_exits_2_within_seconds(set_lanes, workers, w
 def test_frozen_caches_fill_before_the_fork(set_lanes, workers, monkeypatch, kind):
     """With both encoders frozen, their outputs are computed once, before the worker
     forks: the worker runs no encoder forward, and a two-lane run keeps the bits of a
-    one-lane run whose caches fill one sequence at a time."""
+    one-lane run whose tables fill with one ``forward`` per sequence."""
     tok, speech_vocab, text_vocab = splits("categorical")
     parent, forward = os.getpid(), training.forward
     worker_forwards = lanes.shared([(1,)])[0]
@@ -645,7 +647,8 @@ def test_frozen_caches_fill_before_the_fork(set_lanes, workers, monkeypatch, kin
     params2, history2 = run()
     assert len(workers) == 1 and worker_forwards[0] == 0
     set_lanes(1)
-    monkeypatch.setattr(training._EncoderCache, "fill", lambda cache, seqs: None)
+    monkeypatch.setattr(training, "forward_many",
+                        lambda seqs, state: [encoder.forward(seq, state) for seq in seqs])
     params1, history1 = run()
     assert_same_arrays(params1, params2)
     assert history1 == history2

@@ -17,8 +17,8 @@ from emofuse.text import build_vocab
 from emofuse.tokens import CLS, TokenSequence
 from emofuse.training import (
     AdamState,
+    EPS,
     TrainConfig,
-    _EncoderCache,
     _model_outputs,
     adam_step,
     classification_loss,
@@ -40,7 +40,7 @@ TINY = EncoderConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32,
 
 class TestLrSchedule:
     def cfg(self, **kw):
-        base = dict(peak_lr=1e-5, warmup_steps=100, total_steps=1000, end_lr=0.0, power=1.0)
+        base = dict(peak_lr=1e-5, warmup_steps=100, total_steps=1000)
         base.update(kw)
         return TrainConfig(**base)
 
@@ -61,13 +61,8 @@ class TestLrSchedule:
         assert before < at and abs(at - cfg.peak_lr) == 0.0
         assert abs(after - at) < 2 * cfg.peak_lr / (cfg.total_steps - cfg.warmup_steps)
 
-    def test_decays_to_end_lr(self):
+    def test_decays_to_zero(self):
         assert lr_at(1000, self.cfg()) == 0.0
-        assert abs(lr_at(1000, self.cfg(end_lr=1e-7)) - 1e-7) < 1e-20
-
-    def test_power_two(self):
-        cfg = self.cfg(power=2.0)
-        assert abs(lr_at(550, cfg) - 1e-5 * 0.25) < 1e-20
 
     def test_out_of_range_step(self):
         with pytest.raises(UsageError):
@@ -102,31 +97,27 @@ class TestAdam:
         return params, {"w": np.array(grads)}, AdamState.fresh(params)
 
     def test_first_step_closed_form(self):
-        cfg = TrainConfig(total_steps=10, warmup_steps=1)
         params, grads, opt = self.make([1.0, -2.0, 3.0], [0.5, -1.0, 2.0])
         lr = 1e-3
         g = grads["w"].copy()
-        expected = np.array([1.0, -2.0, 3.0]) - lr * g / (np.abs(g) + cfg.eps)
-        adam_step(params, grads, opt, lr, cfg)
+        expected = np.array([1.0, -2.0, 3.0]) - lr * g / (np.abs(g) + EPS)
+        adam_step(params, grads, opt, lr)
         assert np.abs(params["w"].data - expected).max() < 1e-12
         assert opt.step == 1
 
     def test_zero_gradient_leaves_params(self):
-        cfg = TrainConfig(total_steps=10, warmup_steps=1)
         params, grads, opt = self.make([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
-        adam_step(params, grads, opt, 1e-2, cfg)
+        adam_step(params, grads, opt, 1e-2)
         assert np.array_equal(params["w"].data, [1.0, 2.0, 3.0])
 
     def test_zero_lr_updates_moments_only(self):
-        cfg = TrainConfig(total_steps=10, warmup_steps=1)
         params, grads, opt = self.make([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
-        adam_step(params, grads, opt, 0.0, cfg)
+        adam_step(params, grads, opt, 0.0)
         assert np.array_equal(params["w"].data, [1.0, 2.0, 3.0])
         assert opt.m["w"].any() and opt.v["w"].any()
 
     @pytest.mark.parametrize("lrs", [[1e-3, 3e-2, 1e-3, 5e-4, 1e-2], [0.0, 0.0, 1e-3, 0.0]])
     def test_bitwise_equal_to_out_of_place_formula(self, rng, lrs):
-        cfg = TrainConfig(total_steps=10, warmup_steps=1)
         shapes = {"w": (5, 3), "b": (1, 3), "s": ()}
         start = {n: rng.standard_normal(shape) for n, shape in shapes.items()}
         runs = []
@@ -137,7 +128,7 @@ class TestAdam:
             for lr in lrs:
                 grads = {n: draws.standard_normal(shape) * 10.0 ** draws.integers(-9, 3)
                          for n, shape in shapes.items()}
-                step_fn(params, grads, opt, lr, cfg)
+                step_fn(params, grads, opt, lr)
             runs.append((params, opt))
         (params, opt), (ref_params, ref_opt) = runs
         assert opt.step == ref_opt.step == len(lrs)
@@ -147,31 +138,28 @@ class TestAdam:
             assert np.array_equal(opt.v[n], ref_opt.v[n])
 
     def test_nan_lr_rejected(self):
-        cfg = TrainConfig(total_steps=10, warmup_steps=1)
         params, grads, opt = self.make([1.0], [0.5])
         with pytest.raises(UsageError):
-            adam_step(params, grads, opt, math.nan, cfg)
+            adam_step(params, grads, opt, math.nan)
 
     def test_nan_gradient_names_parameter(self):
-        cfg = TrainConfig(total_steps=10, warmup_steps=1)
         for bad in (np.nan, np.inf, -np.inf):
             params, grads, opt = self.make([1.0], [bad])
             with pytest.raises(NumericError) as err:
-                adam_step(params, grads, opt, 1e-3, cfg)
+                adam_step(params, grads, opt, 1e-3)
             assert "'w'" in str(err.value)
             assert params["w"].data[0] == 1.0
 
     def test_nan_in_last_gradient_changes_nothing(self):
-        cfg = TrainConfig(total_steps=10, warmup_steps=1)
         params = {n: T.Tensor(np.full(3, float(i)), requires_grad=True)
                   for i, n in enumerate(("a", "b", "c"))}
         opt = AdamState.fresh(params)
-        adam_step(params, {n: np.ones(3) for n in params}, opt, 1e-3, cfg)
+        adam_step(params, {n: np.ones(3) for n in params}, opt, 1e-3)
         before = [{n: a.copy() for n, a in arrays.items()}
                   for arrays in ({n: p.data for n, p in params.items()}, opt.m, opt.v)]
         grads = {"a": np.ones(3), "b": np.ones(3), "c": np.array([1.0, np.nan, 1.0])}
         with pytest.raises(NumericError, match="'c'"):
-            adam_step(params, grads, opt, 1e-3, cfg)
+            adam_step(params, grads, opt, 1e-3)
         assert opt.step == 1
         after = ({n: p.data for n, p in params.items()}, opt.m, opt.v)
         for old, new in zip(before, after):
@@ -528,8 +516,10 @@ class TestEvaluateInLengthGroups:
             monkeypatch.setattr(training, "EVAL_BYTES", budget)
             seen.clear()
             calls.clear()
-            caches = {frozen: _EncoderCache(getattr(model, frozen))} if frozen else None
-            report = evaluate_model(model, examples, label_mode, caches=caches)
+            tables = {frozen: {getattr(ex, frozen).ids: forward(getattr(ex, frozen),
+                                                                getattr(model, frozen))
+                               for ex in examples}} if frozen else None
+            report = evaluate_model(model, examples, label_mode, tables=tables)
             assert report == expected
             assert len(seen) == len(examples)
             assert all(np.array_equal(got, want) for got, want in zip(seen, reference))
@@ -541,17 +531,30 @@ class TestEvaluateInLengthGroups:
 
 
 class TestEncoderCache:
-    def test_duplicate_ids_keep_their_own_features(self):
+    def test_duplicate_ids_keep_their_own_features(self, monkeypatch):
+        """Two examples with one example id and different speech: a frozen encoder's
+        table serves each its own sequence's features."""
         state = EncoderState.init(TINY, np.random.default_rng(0))
         model = FusionModel("speech-only", LinearHead.init(16, 8, np.random.default_rng(1)),
                             speech=state)
         text = TokenSequence("text", (CLS, 7))
         first = TokenizedExample("dup", TokenSequence("speech", (CLS, 5, 6)), text, 0)
         second = TokenizedExample("dup", TokenSequence("speech", (CLS, 9, 8, 7)), text, 1)
-        cache = _EncoderCache(state)
+        served, outputs = {}, training._model_outputs
+
+        def spy(model, ex, *rest):
+            [out] = outputs(model, ex, *rest)
+            served[ex.speech.ids] = out.hidden.data
+            return [out]
+
+        monkeypatch.setattr(training, "_model_outputs", spy)
+        # One example a step, so every example runs in this process on two lanes too.
+        cfg = TrainConfig(peak_lr=1e-3, batch_size=1, freeze_speech=True)
+        run_finetune([first, second], [], model, cfg, epochs=1)
+        assert len(served) == 2
         for ex in (first, second):
-            [cached] = _model_outputs(model, ex, False, None, {"speech": cache})
-            assert np.array_equal(cached.hidden.data, forward(ex.speech, state).hidden.data)
+            want = forward(ex.speech, state).hidden.data
+            assert np.array_equal(served[ex.speech.ids], want)
 
 
 class TestClassificationHead:
