@@ -222,7 +222,6 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    out = _out_dir(args)
     manifest = Manifest("pretrain", args)
     manifest.add_input(args.dataset)
     manifest.add_input(args.codebook)
@@ -231,21 +230,24 @@ def cmd_pretrain(args) -> int:
     corpus = [discretize(ex.frames, codebook, max_len=args.speech_max_len) for ex in examples]
     speech_cfg = _encoder_config(args, "speech", 5 + codebook.k)
 
-    start_step = 0
     if args.resume:
         manifest.add_input(args.resume)
         state, meta, extras = _load_speech_encoder(args.resume, speech_cfg)
-        start_step = meta.get("step")
-        if type(start_step) is not int or start_step < 0:
+        step = meta.get("step")
+        if type(step) is not int or step < 0:
             raise InputError(f"{args.resume}: no optimizer step (meta 'step') to resume from")
+        if args.steps <= step:
+            raise UsageError(f"--steps {args.steps} must exceed step {step}, the step of "
+                             f"{args.resume} to resume from")
         moments = {k: {n: checked_block(args.resume, extras, f"adam.{k}.{n}", p.data.shape)
                        for n, p in state.params.items()} for k in "mv"}
-        opt = AdamState(**moments, step=start_step)
+        opt = AdamState(**moments, step=step)
     else:
         state = EncoderState.init(speech_cfg, np.random.default_rng(args.seed))
         opt = AdamState.fresh(state.params)
 
     cfg = _train_config(args, total_steps=args.steps)
+    out = _out_dir(args)
     ckpt_path = out / "speech_encoder.ckpt"
     log_lines: list[str] = []
 
@@ -259,8 +261,7 @@ def cmd_pretrain(args) -> int:
         if args.checkpoint_interval and step % args.checkpoint_interval == 0:
             save_state()
 
-    run_pretraining(corpus, state, cfg, mask_rate=args.mask_rate, log_fn=log,
-                    opt=opt, start_step=start_step)
+    run_pretraining(corpus, state, cfg, mask_rate=args.mask_rate, log_fn=log, opt=opt)
     save_state()
     log_path = out / "pretrain.log"
     atomic_write_text(log_path, "\n".join(log_lines) + "\n")
@@ -501,7 +502,7 @@ def build_parser(parser_class: type[_Parser] = _Parser) -> argparse.ArgumentPars
                                             allow_abbrev=False)
 
     p = add("gen-data", "generate a synthetic bimodal dataset")
-    p.add_argument("--n", type=int, default=200, help="number of examples")
+    p.add_argument("--n", type=_int_at_least(40), default=200, help="number of examples")
     p.add_argument("--mode", choices=("categorical", "score"), default="categorical",
                    help="label kind")
     p.add_argument("--name", default="dataset.jsonl", help="output file name")

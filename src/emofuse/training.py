@@ -257,7 +257,6 @@ class _Training:
         sizes = np.cumsum([p.size for p in params.values()])
         cut = len(names) if lanes.helper is None else 1 + int(abs(sizes - sizes[-1] / 2).argmin())
         self.halves = ({n: params[n] for n in names[:cut]}, {n: params[n] for n in names[cut:]})
-        self.losses: list[float] = []  # the worker's losses of the step so far
 
     def __enter__(self) -> "_Training":
         if lanes.helper is not None:
@@ -269,12 +268,6 @@ class _Training:
             self.link.close(kill=kind is not None)  # after an error it may be mid-example
             self.link = None
         T.zero_grads(self.params.values())
-
-    def forward(self, step: int, position: int, index) -> T.Tensor:
-        """The loss of example ``index`` at ``position`` in step ``step``'s batch, drawn
-        from that example's own generator."""
-        rng = None if self.seed is None else _generator(self.seed, step, position)
-        return self.example_loss(index, rng)
 
     def backward(self, loss: T.Tensor, position: int) -> None:
         """Backpropagate the loss of the example at ``position`` of its batch, adding each
@@ -323,28 +316,37 @@ class _Training:
                 link.take()
             take(i, g)
 
-    def follow(self) -> None:
-        """Take the turns of the batch's last example, run on the other lane: after
-        them every accumulator holds its batch sum."""
-        for _ in self.names:
-            self.link.take()
+    def lane(self, step: int, indices, clip: float | None, lane: int):
+        """Lane ``lane``'s part of step ``step`` over ``indices``: positions ``lane``,
+        ``lane + lanes``, ..., each drawing from the generator of ``(seed, step,
+        position)``; then, when the other lane ran the batch's last example, its turns,
+        after which every accumulator holds its batch sum. Returns the losses, this
+        lane's half of the gradients divided by the batch size (and checked, on two
+        lanes; one lane checks in ``adam_step``) and, under ``clip``, their squares."""
+        n, stride = len(indices), 1 if self.link is None else 2
+        losses = []
+        for k in range(lane, n, stride):
+            rng = None if self.seed is None else _generator(self.seed, step, k)
+            loss = self.example_loss(indices[k], rng)
+            losses.append(loss.item())
+            self.backward(loss, k)
+            del loss
+        if (n - 1) % stride != lane:
+            for _ in self.names:
+                self.link.take()
+        grads = collect_gradients(self.halves[lane], n)
+        if self.link is not None:
+            _check_finite(grads)
+        return losses, grads, _squares(grads, clip)
 
     def _serve(self, message: tuple, link: lanes.Link) -> None:
-        """The worker's side: an example of ``_update``, or its half of the step's passes."""
+        """The worker's side of ``_update``: its lane of a step, then its half of the
+        step's scaling and Adam update."""
         kind, *args = message
         self.link, half = link, self.halves[1]
-        if kind == "example":
-            loss = self.forward(*args)
-            self.losses.append(loss.item())
-            self.backward(loss, args[1])
-        elif kind == "collect":
-            batch_size, clip = args
-            if batch_size % 2:
-                self.follow()
-            grads = collect_gradients(half, batch_size)
-            _check_finite(grads)
-            losses, self.losses = self.losses, []
-            link.send("collected", losses, _squares(grads, clip))
+        if kind == "step":
+            losses, _, squares = self.lane(*args, 1)
+            link.send("collected", losses, squares)
         elif kind == "scale":
             for p in half.values():
                 p.grad *= args[0]
@@ -360,39 +362,29 @@ def _update(run: _Training, step: int, indices, lr: float, cfg: TrainConfig,
             total: float = 0.0) -> float:
     """Optimizer step ``step`` over ``indices``; returns ``total`` plus their losses.
 
-    Each example's loss is built and backpropagated before this lane builds its next,
-    so one autodiff graph is alive at a time per lane. Gradients enter the
-    accumulators in example order (``_Training.backward``) and each loss is added to
-    ``total`` in turn, so the batch gradient and a running epoch sum passed in keep
-    their order, bitwise.
+    Each lane builds and backpropagates one example's loss before its next
+    (``_Training.lane``), so one autodiff graph is alive at a time per lane. Gradients
+    enter the accumulators in example order (``_Training.backward``) and each loss is
+    added to ``total`` in turn, so the batch gradient and a running epoch sum passed in
+    keep their order, bitwise.
 
-    On two lanes the worker takes the odd positions, all sent before this lane's
-    first forward: every example draws from its own generator, so the lanes' forwards
-    and backwards overlap. The lane that did not run the batch's last example follows
-    its turns; then each lane divides, checks and (under ``grad_clip``) sums its half
-    of the gradients, and the worker sends its sums and losses back. Nothing changes
-    until both halves pass the check. A NumericError of either lane names the step.
+    On two lanes the worker gets one ``"step"`` message before this lane's first
+    forward and runs the odd positions: every example draws from its own generator,
+    so the lanes' forwards and backwards overlap. Each lane divides, checks and (under
+    ``grad_clip``) sums its half of the gradients, and the worker sends its losses and
+    sums back in ``"collected"``. Nothing changes until both halves pass the check. A
+    NumericError of either lane names the step.
     """
-    worker, n = run.link, len(indices)
-    losses = [0.0] * n
+    worker = run.link
     try:
         if worker is not None:
-            for k in range(1, n, 2):
-                worker.send("example", step, k, indices[k])
-            worker.send("collect", n, cfg.grad_clip)
-        for k in range(0, n, 1 if worker is None else 2):
-            loss = run.forward(step, k, indices[k])
-            losses[k] = loss.item()
-            run.backward(loss, k)
-            del loss
-        if worker is not None and n % 2 == 0:
-            run.follow()
-        grads = collect_gradients(run.halves[0], n)
-        squares = _squares(grads, cfg.grad_clip)
+            worker.send("step", step, indices, cfg.grad_clip)
+        losses, grads, squares = run.lane(step, indices, cfg.grad_clip, 0)
         if worker is not None:
-            _check_finite(grads)  # while the worker checks its half; this half comes first
-            losses[1::2], theirs = _expect(worker.recv(), "collected")
-            squares += theirs
+            theirs, their_squares = _expect(worker.recv(), "collected")
+            losses, mine = [0.0] * len(indices), losses
+            losses[0::2], losses[1::2] = mine, theirs
+            squares += their_squares
         for value in losses:
             total += value
         norm = np.sqrt(sum(squares))
@@ -415,7 +407,6 @@ def run_pretraining(
     mask_rate: float = 0.15,
     log_fn=None,
     opt: AdamState | None = None,
-    start_step: int = 0,
 ) -> list[float]:
     """Masked-token pretraining over a token corpus; returns the loss curve.
 
@@ -424,16 +415,14 @@ def run_pretraining(
     is evaluated before any update, so an untrained model logs roughly
     ln(vocab_size). Each step's batch is drawn from the generator of ``(cfg.seed,
     step)`` and each example's masking and dropout from that of ``(cfg.seed, step,
-    position)``, so passing an AdamState and its step back in continues the moments,
-    the step counter, the schedule and every draw: a resumed run ends bitwise where
-    an uninterrupted one does.
+    position)``. A run resumes from ``opt.step``: passing an AdamState back in
+    continues the moments, the step counter, the schedule and every draw, so a resumed
+    run ends bitwise where an uninterrupted one does.
     """
     if not corpus:
         raise InputError("pretraining corpus is empty")
     cfg = cfg.resolved()
-    if opt is None:
-        opt = AdamState.fresh(state.params)
-        opt.step = start_step
+    opt = AdamState.fresh(state.params) if opt is None else opt
 
     def example_loss(i, rng):
         corrupted, targets = mask_corrupt(corpus[i], mask_rate, rng, state.cfg.vocab_size)
@@ -441,7 +430,7 @@ def run_pretraining(
 
     losses: list[float] = []
     with _Training(state.params, opt, example_loss, cfg.seed) as run:
-        for step in range(start_step + 1, cfg.total_steps + 1):
+        for step in range(opt.step + 1, cfg.total_steps + 1):
             idx = _generator(cfg.seed, step).integers(0, len(corpus), size=cfg.batch_size)
             lr = lr_at(step, cfg)
             mean_loss = _update(run, step, idx, lr, cfg) / cfg.batch_size
@@ -514,7 +503,6 @@ def predict_score(logits_data: np.ndarray) -> float:
 
 @dataclass
 class FinetuneResult:
-    model: FusionModel
     history: list[dict] = field(default_factory=list)
     best_epoch: int = 0
     best_metric: float = 0.0
@@ -646,5 +634,5 @@ def run_finetune(
 
     for name, arr in best_arrays.items():
         trainable[name].data = arr
-    return FinetuneResult(model=model, history=history, best_epoch=best_epoch,
+    return FinetuneResult(history=history, best_epoch=best_epoch,
                           best_metric=best_metric or 0.0, optimizer=opt)

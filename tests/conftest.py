@@ -1,6 +1,7 @@
 """Shared test helpers, chiefly the central finite-difference gradient oracle."""
 
 import math
+import os
 from concurrent import futures
 
 import numpy as np
@@ -166,3 +167,16 @@ def set_lanes(monkeypatch):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def pytest_sessionfinish(session):
+    """Fail the session when this process still has a child, alive or unreaped: every
+    training worker must be reaped by the call that forked it."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    writer = session.config.get_terminal_writer()
+    writer.line()
+    writer.line("a child process of the test session remains after the tests", red=True)
+    session.exitstatus = pytest.ExitCode.TESTS_FAILED

@@ -60,9 +60,6 @@ class TestGenData:
         assert digest == sha256_file(out / "dataset.jsonl")
         assert manifest["seed"] == 1
 
-    def test_too_small_n_is_input_error(self, tmp_path):
-        assert main(["gen-data", "--out-dir", str(tmp_path), "--n", "10"]) == 2
-
     @pytest.mark.parametrize("name", ["../../../x.jsonl", "sub/x.jsonl", "/tmp/x.jsonl", ".", ".."])
     def test_name_with_directory_part_is_usage_error(self, tmp_path, capsys, name):
         capsys.readouterr()
@@ -191,6 +188,25 @@ class TestPretrain:
         lines = (straight / "pretrain.log").read_text().splitlines()
         assert (resumed / "pretrain.log").read_text().splitlines() == lines[4:]
         assert lines[4].startswith("5 ") and len(lines) == 8
+
+    @pytest.mark.parametrize("steps", [2, 4])
+    def test_resume_to_no_later_step_exits_1_and_writes_nothing(self, workspace, tmp_path,
+                                                               capsys, steps):
+        """--steps at or below the checkpoint's step is a usage error naming --steps and
+        both steps; the checkpoint, log and manifest stay as they were."""
+        out = tmp_path / "pre"
+        argv = ["pretrain", "--dataset", f"{workspace}/dataset.jsonl",
+                "--codebook", f"{workspace}/codebook.bin", "--out-dir", str(out),
+                "--batch-size", "2", "--seed", "0", *TINY_ARCH]
+        assert main([*argv, "--steps", "4"]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        code = main([*argv, "--steps", str(steps), "--resume", str(out / "speech_encoder.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"usage error: --steps {steps} must exceed step 4, the step of "
+                       f"{out / 'speech_encoder.ckpt'} to resume from\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     @pytest.mark.parametrize("drop", ["step", "adam"])
     def test_resume_without_optimizer_state_exits_2(self, workspace, tmp_path, capsys, drop):
@@ -486,6 +502,7 @@ class TestAblate:
 # Each is a usage error, exit 1, before any training. The message names the
 # flag when the parser rejects the value, else the checked field.
 BAD_NUMBERS = [
+    *[("gen-data", "--n", value, "--n") for value in ("10", "-3")],
     ("ablate", "--reps", "0", "--reps"),
     ("ablate", "--epochs", "0", "--epochs"),
     ("finetune", "--epochs", "0", "--epochs"),
@@ -512,6 +529,8 @@ BAD_NUMBERS = [
 
 def _training_argv(workspace, command, out):
     """A quick run of a training command on the shared workspace."""
+    if command == "gen-data":
+        return [command, "--out-dir", str(out)]
     if command == "prepare":
         return [command, "--dataset", f"{workspace}/dataset.jsonl", "--out-dir", str(out)]
     inputs = ["--dataset", f"{workspace}/dataset.jsonl", "--codebook", f"{workspace}/codebook.bin"]

@@ -3,11 +3,14 @@ training worker outlives its call, an error or an interrupt."""
 
 import functools
 import itertools
+import math
+import multiprocessing
 import os
 import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -46,11 +49,13 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL
 
 @pytest.fixture
 def workers(monkeypatch):
-    """The training workers forked during the test, recorded by pid. Setting its
-    ``kill_after`` SIGKILLs a worker as it is handed that many examples."""
+    """The training workers forked during the test, recorded by pid, and in ``sent`` the
+    kind of each message sent to them. Setting its ``kill_after`` SIGKILLs a worker as
+    its ``"step"`` messages hand it that many examples in all (the odd positions)."""
 
     class Forked(list):
-        kill_after = None
+        kill_after = math.inf
+        sent = []
 
     forked = Forked()
 
@@ -61,10 +66,12 @@ def workers(monkeypatch):
             self.examples = 0
 
         def send(self, *message):
-            if message[0] == "example":
-                self.examples += 1
-                if self.examples == forked.kill_after:
+            forked.sent.append(message[0])
+            if message[0] == "step":
+                handed = len(message[2]) // 2
+                if self.examples < forked.kill_after <= self.examples + handed:
                     os.kill(self.pid, signal.SIGKILL)
+                self.examples += handed
             super().send(*message)
 
     monkeypatch.setattr(lanes, "Worker", Recorded)
@@ -155,7 +162,7 @@ def test_run_pretraining_bitwise_across_lanes(set_lanes, workers, start_step):
         opt.step = start_step
         cfg = TrainConfig(peak_lr=1e-3, warmup_steps=2, total_steps=8, batch_size=3, seed=5)
         log = []
-        losses = run_pretraining(corpus(), state, cfg, opt=opt, start_step=start_step,
+        losses = run_pretraining(corpus(), state, cfg, opt=opt,
                                  log_fn=lambda *entry: log.append(entry))
         return {n: p.data.copy() for n, p in state.params.items()}, opt, losses, log
 
@@ -217,14 +224,48 @@ def test_gradients_wait_for_their_turn_when_the_parent_lags(set_lanes, workers, 
     assert_same_arrays(one, two)
 
 
-def test_a_wait_longer_than_the_wake_keeps_the_queued_messages(set_lanes, workers,
-                                                              monkeypatch):
-    """While the worker waits for a turn well past ``_WAKE_S``, the parent's next
-    examples and its "collect" are already in the pipe: the worker keeps them for
-    their turn, and the bits are one lane's."""
+def test_a_wait_longer_than_the_wake_keeps_one_lanes_bits(set_lanes, workers, monkeypatch):
+    """The worker waits for a turn well past ``_WAKE_S``, looking at the pipe at each
+    wake, and the bits are still one lane's."""
     one, two, seen = lag_at_a_leaf(set_lanes, workers, monkeypatch, 3 * lanes._WAKE_S)
     assert seen == [9]
     assert_same_arrays(one, two)
+
+
+def test_take_keeps_a_message_sent_before_a_late_turn():
+    """A message sent before a turn that comes 3 x ``_WAKE_S`` later is read from the
+    pipe while ``take`` waits, kept, and returned by ``recv`` after the turn, in order."""
+    ours, theirs = multiprocessing.Pipe()
+    turns = threading.Semaphore(0), threading.Semaphore(0)
+    mine, other = lanes.Link(ours, *turns), lanes.Link(theirs, *reversed(turns))
+    other.send("collected", [1.5], [])
+    other.send("done")
+    late = threading.Timer(3 * lanes._WAKE_S, other.give)
+    start = time.monotonic()
+    late.start()
+    mine.take()
+    assert time.monotonic() - start >= 3 * lanes._WAKE_S
+    assert not ours.poll()  # both were read while waiting
+    assert mine.recv() == ("collected", [1.5], []) and mine.recv() == ("done",)
+    late.join()
+    ours.close()
+    theirs.close()
+
+
+@pytest.mark.parametrize("grad_clip, per_step", [(None, ["step", "adam"]),
+                                                 (1e-6, ["step", "scale", "adam"])])
+def test_the_worker_gets_one_step_message_per_step(set_lanes, workers, grad_clip, per_step):
+    """Each optimizer step sends the worker one ``"step"`` message for its examples and
+    its half of the gradient passes, then ``"scale"`` under a clip that clips, then
+    ``"adam"``."""
+    set_lanes(2)
+    state = EncoderState.init(TINY, np.random.default_rng(0))
+    cfg = TrainConfig(peak_lr=1e-3, warmup_steps=1, total_steps=3, batch_size=5, seed=5,
+                      grad_clip=grad_clip)
+    run_pretraining(corpus(), state, cfg)
+    assert workers.sent == per_step * 3
+    assert len(workers) == 1
+    assert_reaped(workers)
 
 
 def test_a_leaf_the_first_example_does_not_reach_starts_its_sum_at_zero(set_lanes, workers,

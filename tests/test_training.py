@@ -219,11 +219,11 @@ class TestPretraining:
         state = EncoderState.init(TINY, np.random.default_rng(0))
         cfg = TrainConfig(peak_lr=1e-3, warmup_steps=2, total_steps=10, batch_size=2, seed=5)
         opt = AdamState.fresh(state.params)
-        run_pretraining(corpus, state, cfg, opt=opt, start_step=0)
+        run_pretraining(corpus, state, cfg, opt=opt)
         assert opt.step == 10
         more = run_pretraining(corpus, state, TrainConfig(
             peak_lr=1e-3, warmup_steps=2, total_steps=14, batch_size=2, seed=5),
-            opt=opt, start_step=10)
+            opt=opt)
         assert opt.step == 14 and len(more) == 4
 
     def test_each_example_draws_from_its_own_counter_seeded_generator(self, rng, set_lanes,
@@ -264,7 +264,7 @@ class TestPretraining:
         for name, p in resumed_state.params.items():
             p.data = saved["params"][name]
         resumed_opt = AdamState(saved["m"], saved["v"], step=saved["step"])
-        resumed = run_pretraining(corpus, resumed_state, cfg, opt=resumed_opt, start_step=4)
+        resumed = run_pretraining(corpus, resumed_state, cfg, opt=resumed_opt)
         assert resumed == straight[4:]
         assert all(np.array_equal(p.data, resumed_state.params[n].data)
                    for n, p in state.params.items())
