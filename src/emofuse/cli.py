@@ -203,10 +203,10 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_prepare(args) -> int:
-    out = _out_dir(args)
     manifest = Manifest("prepare", args)
     manifest.add_input(args.dataset)
     examples = _train_examples(load_jsonl(args.dataset), args.dataset)
+    out = _out_dir(args)
     vocab = build_vocab([ex.text for ex in examples], max_size=args.vocab_size)
     frames = np.concatenate([ex.frames for ex in examples])
     codebook = train_codebook(frames, k=args.codebook_size, seed=args.seed)
@@ -334,10 +334,10 @@ def _train_one(args, manifest, splits, speech_cfg, text_cfg, fusion, freeze, see
 
 
 def cmd_finetune(args) -> int:
-    out = _out_dir(args)
     manifest, splits, speech_cfg, text_cfg = _load_run_inputs(args, "finetune")
     if "train" not in splits:
         raise InputError(f"{args.dataset}: dataset has no train split")
+    out = _out_dir(args)
     model, result, report = _train_one(args, manifest, splits, speech_cfg, text_cfg,
                                        args.fusion, args.freeze, args.seed,
                                        speech_checkpoint=args.speech_checkpoint)
@@ -360,7 +360,6 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    out = _out_dir(args)
     manifest = Manifest("evaluate", args)
     for path in (args.model, args.dataset, args.vocab, args.codebook):
         manifest.add_input(path)
@@ -379,6 +378,7 @@ def cmd_evaluate(args) -> int:
     examples = tokenize_examples(dataset.subset(args.split), codebook, vocab,
                                  speech_max_len=max_len.get("speech"),
                                  text_max_len=max_len.get("text"))
+    out = _out_dir(args)
     report = evaluate_model(model, examples, meta["label_mode"], class_names=CLASS_NAMES)
     _print_report(report, f"metrics on split {args.split!r}")
     metrics_path = out / "eval_metrics.csv"
@@ -399,13 +399,13 @@ def _ablation_table(mean_rows: dict[str, dict[str, float]]) -> str:
 
 
 def cmd_ablate(args) -> int:
-    out = _out_dir(args)
     manifest, splits, speech_cfg, text_cfg = _load_run_inputs(args, "ablate")
     if args.label_mode != "categorical":
         raise InputError(f"{args.dataset}: the ablation grid needs a categorical dataset")
     for required in ("train", "valid", "test"):
         if not splits.get(required):
             raise InputError(f"{args.dataset}: ablation needs a non-empty {required!r} split")
+    out = _out_dir(args)
 
     csv_rows = []
     cell_acc: dict[str, list[float]] = {}

@@ -183,6 +183,13 @@ def save_jsonl(dataset: Dataset, path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
+def _lines(path: Path):
+    """The lines of ``path`` as ``bytes.splitlines`` numbers them, read one at a time."""
+    with open(path, "rb") as fh:
+        for chunk in fh:  # a chunk ends at b"\n", so it never splits a b"\r\n"
+            yield from chunk.splitlines()
+
+
 def load_jsonl(path: str | Path, featurizer: FrameFeaturizerConfig | None = None) -> Dataset:
     """Load and validate a dataset file; errors name the offending line.
 
@@ -199,7 +206,7 @@ def load_jsonl(path: str | Path, featurizer: FrameFeaturizerConfig | None = None
     splits: dict[str, list[int]] = {}
     label_mode: str | None = None
     first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(path), start=1):
         if not raw.strip():
             continue
         try:

@@ -81,6 +81,17 @@ def release_freed() -> None:
         trim(0)
 
 
+# glibc maps each block above its mmap threshold on its own and raises the threshold
+# only when it frees such a block, so a process that frees none faults a forward's
+# temporaries in anew on every call. Pinned at the values a 16 MB free reaches (setting
+# either one turns glibc's adjustment off).
+_mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+if _mallopt is not None:
+    _mallopt.argtypes, _mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    _mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+    _mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+
+
 def _sendable(err: Exception) -> Exception:
     """``err`` if it survives pickling, else an EmofuseError with its class and message."""
     try:

@@ -18,7 +18,8 @@ the arrays their unfused compositions compute, bit for bit.
 ``linear``, ``layer_norm``, ``gather_rows``, the head ops and ``matmul`` take leading batch
 axes too; each stacked row is bitwise its 2-D call (numpy multiplies matrix by matrix).
 
-The GELU here is the exact-erf form, x * Phi(x).
+The GELU here is the exact-erf form, x * Phi(x). Its erf is Cephes' (``_erf``),
+the algorithm ``scipy.special.erf`` runs, so NumPy is the one dependency.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import InputError, NumericError, ShapeError, UsageError
 
@@ -37,6 +37,19 @@ Array = np.ndarray
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Cephes' erf and erfc coefficients (ndtr.c), highest power first; a leading 1 is
+# Cephes' p1evl. erf(t) = t*T(t^2)/U(t^2) for |t| <= 1, else 1 - exp(-t^2)*P(t)/Q(t).
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
 
 # False inside a no_grad() block: operations then record no OpRecord.
 _recording = True
@@ -348,10 +361,51 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _result("layer_norm", out, (x, gain, bias), vjp)
 
 
+def _polevl(x: Array, coefs: tuple[float, ...], out: Array) -> Array:
+    """Cephes' Horner loop ((c0*x + c1)*x + ...)*x + cn into ``out``; a c0 of 1 costs
+    no multiply, as in Cephes' p1evl."""
+    if coefs[0] == 1.0:
+        np.add(x, coefs[1], out=out)
+    else:
+        np.multiply(x, coefs[0], out=out)
+        out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(t: Array, out: Array | None = None) -> Array:
+    """erf(t) by Cephes' algorithm: bitwise ``scipy.special.erf`` for |t| <= 1 and
+    within 1 ulp beyond (NumPy's exp is not libm's). ``out`` may be ``t``."""
+    if out is None:
+        out = t.copy()
+    elif out is not t:
+        np.copyto(out, t)
+    t2 = np.abs(out)
+    tail = None
+    if not t2.max(initial=0.0) <= 1.0:  # a NaN gets here, and stays on the t*T/U pass
+        tail = np.flatnonzero(t2 > 1.0)
+        a = np.minimum(t2.flat[tail], 8.0)  # erf is 1.0 to the last bit from |t| = 6
+        p = _polevl(a, _ERFC_P, np.empty_like(a))
+        y = np.exp(-a * a)
+        y *= p
+        y /= _polevl(a, _ERFC_Q, p)
+        values = np.copysign(np.subtract(1.0, y, out=y), out.flat[tail])
+        out.flat[tail] = t2.flat[tail] = 0.0  # keeps the passes below finite
+    np.square(t2, out=t2)
+    p = _polevl(t2, _ERF_T, np.empty_like(t2))
+    out *= p
+    out /= _polevl(t2, _ERF_U, p)
+    if tail is not None:
+        out.flat[tail] = values
+    return out
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GELU: x * Phi(x) with Phi the standard normal CDF."""
     cdf = x.data / _SQRT2
-    erf(cdf, out=cdf)
+    _erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     out = x.data * cdf

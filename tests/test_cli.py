@@ -703,6 +703,36 @@ def test_numeric_failure_prints_only_its_message(workspace, tmp_path, pin):
     assert not (tmp_path / "out" / "model.ckpt").exists()
 
 
+def test_the_cli_imports_no_scipy():
+    """The runtime needs NumPy alone: GELU's erf is in ``tensor``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, emofuse.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["prepare", "pretrain", "finetune", "evaluate", "ablate"])
+def test_missing_input_leaves_no_output_directory(workspace, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    if command == "evaluate":
+        model = tmp_path / "model.ckpt"
+        cfg = EncoderConfig(n_layers=1, d_model=8, n_heads=2, d_ff=16, vocab_size=70, max_len=16)
+        save_fusion_checkpoint(model, FusionModel.init("text-only", None, cfg, 8, 2, None),
+                               label_mode="categorical")
+        argv = ["evaluate", "--model", str(model), "--vocab", f"{workspace}/vocab.txt",
+                "--codebook", f"{workspace}/codebook.bin", "--dataset", "", "--out-dir", str(out)]
+    else:
+        argv = _training_argv(workspace, command, out)
+    argv[argv.index("--dataset") + 1] = str(tmp_path / "nope.jsonl")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "nope.jsonl" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestExitCodesAndHelp:
     def test_missing_dataset_is_input_error(self, tmp_path):
         assert main(["prepare", "--dataset", str(tmp_path / "none.jsonl"),

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,35 @@ class TestJsonl:
         with pytest.raises(InputError) as err:
             load_jsonl(path)
         assert f"{path}:3:" in str(err.value) and "line 1" in str(err.value)
+
+    @pytest.mark.parametrize("bad", range(7))
+    def test_error_lines_count_every_line_break(self, tmp_path, bad):
+        """``\n``, ``\r\n`` and a bare ``\r`` each end a line and blank lines count:
+        an error names the line that ``bytes.splitlines`` gives the whole file."""
+        rows = [json.dumps({"id": f"e{i}", "frames": [[0.0]], "text": "x", "label": 0}).encode()
+                for i in range(7)]
+        rows[bad] = b'{"id": "broken"'
+        breaks = [b"\r\n", b"\r", b"\n", b"\r\r\n", b"\n\r", b"\r\n\r\n", b""]
+        blob = b"".join(row + end for row, end in zip(rows, breaks))
+        path = tmp_path / "mixed.jsonl"
+        path.write_bytes(blob)
+        with pytest.raises(InputError) as err:
+            load_jsonl(path)
+        line = blob.splitlines().index(rows[bad]) + 1
+        assert str(err.value).startswith(f"{path}:{line}: invalid JSON")
+
+    def test_loading_streams_the_file(self, tmp_path):
+        """The traced peak while loading stays below half the file's size: the loaded
+        frames take about 0.41 of it, and one line at a time the rest."""
+        path = tmp_path / "data.jsonl"
+        save_jsonl(generate_synthetic(200, seed=3), path)
+        tracemalloc.start()
+        try:
+            load_jsonl(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
 
 
 class TestTokenize:

@@ -196,6 +196,48 @@ class TestGelu:
         assert abs(T.gelu(T.Tensor([1.0])).data[0] - phi1) < 1e-10
 
 
+def ulps_apart(a, b):
+    """Units in the last place between same-signed float64 arrays."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+class TestErf:
+    """``tensor._erf``, GELU's erf, against scipy's as an independent oracle."""
+
+    def test_bitwise_scipy_for_abs_t_at_most_one(self):
+        t = np.linspace(-1.0, 1.0, 2_000_001)
+        assert T._erf(t).tobytes() == erf(t).tobytes()
+
+    def test_within_one_ulp_of_scipy_to_nine(self, rng):
+        t = np.concatenate([np.linspace(-9.0, 9.0, 2_000_001), 3.0 * rng.standard_normal(10_000),
+                            [np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0)]])
+        assert ulps_apart(T._erf(t), erf(t)).max() <= 1
+
+    def test_special_values(self):
+        big = np.concatenate([np.linspace(6.0, 40.0, 1001), [1e300, np.finfo(float).max, np.inf]])
+        with np.errstate(all="raise"):
+            got = T._erf(np.concatenate([[0.0, -0.0, np.nan], big, -big]))
+        assert got[0] == 0.0 and not np.signbit(got[0])
+        assert got[1] == 0.0 and np.signbit(got[1])
+        assert np.isnan(got[2])
+        assert np.all(got[3:3 + big.size] == 1.0) and np.all(got[3 + big.size:] == -1.0)
+
+    def test_nan_beside_tail_values(self):
+        t = np.array([np.nan, 3.0, -1e308, 0.5, -2.0])
+        got, want = T._erf(t), erf(t)
+        assert np.isnan(got[0]) and ulps_apart(got[1:], want[1:]).max() <= 1
+
+    def test_in_place_gives_the_out_of_place_bytes(self, rng):
+        t = 3.0 * rng.standard_normal((4, 7, 16))
+        t[0, 0, :4] = (np.nan, np.inf, -0.0, -1e308)
+        t_bytes = t.tobytes()
+        want = T._erf(t)
+        assert t.tobytes() == t_bytes
+        out = np.empty_like(t)
+        assert T._erf(t, out=out) is out and out.tobytes() == want.tobytes()
+        assert T._erf(t, out=t) is t and t.tobytes() == want.tobytes()
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
