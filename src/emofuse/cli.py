@@ -228,6 +228,7 @@ def cmd_pretrain(args) -> int:
     examples = _train_examples(load_jsonl(args.dataset), args.dataset)
     codebook = Codebook.load(args.codebook)
     corpus = [discretize(ex.frames, codebook, max_len=args.speech_max_len) for ex in examples]
+    del examples  # their frames are not read again through training
     speech_cfg = _encoder_config(args, "speech", 5 + codebook.k)
 
     if args.resume:

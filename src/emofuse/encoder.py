@@ -143,7 +143,7 @@ class EncoderState:
 
 @dataclass
 class EncoderOutput:
-    """Hidden states [L x d_model], row 0 the CLS vector."""
+    """Hidden states [L x d_model], row 0 the CLS vector (those of ``forward``'s ``rows``)."""
 
     hidden: T.Tensor
 
@@ -179,22 +179,33 @@ def _checked_ids(seq: TokenSequence, cfg: EncoderConfig) -> np.ndarray:
     return ids
 
 
-def _body(ids: np.ndarray, state: EncoderState, drop: float, rng, train_mode: bool) -> T.Tensor:
-    """Hidden states of one sequence [L] or a stack of equal-length sequences [B x L]."""
+def _body(ids: np.ndarray, state: EncoderState, drop: float, rng, train_mode: bool,
+          rows: np.ndarray | None = None) -> T.Tensor:
+    """Hidden states of one sequence [L] or a stack of equal-length sequences [B x L].
+
+    With ``rows`` (one sequence only) the result is [len(rows) x d], the states of
+    those rows in that order. The last layer's keys and values still read every
+    row; its queries, residual, dropouts, feed-forward and the final norm run at
+    those rows alone, each dropout drawing its mask as for all L rows.
+    """
     cfg, prms = state.cfg, state.params
     x = (T.gather_rows(prms["tok_emb"], ids)
          + T.gather_rows(prms["pos_emb"], np.arange(ids.shape[-1])))
     x = T.dropout(x, drop, rng, train_mode)
+    keep = None
     for i in range(cfg.n_layers):
         p = f"layers.{i}"
-        h = T.layer_norm(x, prms[f"{p}.ln1.g"], prms[f"{p}.ln1.b"])
-        a, _ = multi_head_attention(h, h, *(prms[f"{p}.attn.{n}"] for n in _ATTN_PARAMS),
+        h = q = T.layer_norm(x, prms[f"{p}.ln1.g"], prms[f"{p}.ln1.b"])
+        if rows is not None and i == cfg.n_layers - 1:
+            keep = (ids.shape[-1], rows)
+            x, q = T.gather_rows(x, rows), T.gather_rows(h, rows)
+        a, _ = multi_head_attention(q, h, *(prms[f"{p}.attn.{n}"] for n in _ATTN_PARAMS),
                                     cfg.n_heads)
-        x = x + T.dropout(a, drop, rng, train_mode)
+        x = x + T.dropout(a, drop, rng, train_mode, keep)
         h2 = T.layer_norm(x, prms[f"{p}.ln2.g"], prms[f"{p}.ln2.b"])
         f = T.gelu(T.linear(h2, prms[f"{p}.ff.w1"], prms[f"{p}.ff.b1"]))
         f = T.linear(f, prms[f"{p}.ff.w2"], prms[f"{p}.ff.b2"])
-        x = x + T.dropout(f, drop, rng, train_mode)
+        x = x + T.dropout(f, drop, rng, train_mode, keep)
     return T.layer_norm(x, prms["final_ln.g"], prms["final_ln.b"])
 
 
@@ -203,18 +214,20 @@ def forward(
     state: EncoderState,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
+    rows: np.ndarray | None = None,
 ) -> EncoderOutput:
     """Run the encoder over one sequence.
 
     Dropout applies only in train mode and draws from the caller's rng, so
     eval-mode forward is a pure function of (state, seq). Overlong sequences
-    are rejected; truncation is the tokenizers' job.
+    are rejected; truncation is the tokenizers' job. Given ``rows``, ``hidden``
+    holds those rows alone (see ``_body``), equal to the full rows up to rounding.
     """
     ids = _checked_ids(seq, state.cfg)
     drop = state.cfg.dropout_rate if train_mode else 0.0
     if drop > 0.0 and rng is None:
         raise UsageError("train-mode forward with dropout needs an rng")
-    return EncoderOutput(hidden=_body(ids, state, drop, rng, train_mode))
+    return EncoderOutput(hidden=_body(ids, state, drop, rng, train_mode, rows))
 
 
 def forward_many(seqs: list[TokenSequence], state: EncoderState) -> list[EncoderOutput]:
@@ -292,13 +305,18 @@ def masked_lm_loss(
     """Mean cross-entropy at the target positions against the original IDs.
 
     Prediction logits come from the weight-tied head: hidden @ tok_emb^T
-    plus the per-vocabulary bias.
+    plus the per-vocabulary bias, at the target rows, the only ones computed.
     """
     if not targets:
         raise InputError("masked_lm_loss needs at least one target position")
-    out = forward(corrupted, state, train_mode=train_mode, rng=rng)
+    for pos, orig in targets:
+        for value, what, end in ((pos, "position", len(corrupted)),
+                                 (orig, "original id", state.cfg.vocab_size)):
+            if not isinstance(value, (int, np.integer)) or not 0 <= value < end:
+                raise InputError(f"masked-LM target {(pos, orig)!r}: {what} {value!r} is "
+                                 f"not an integer in [0, {end})")
     positions = np.array([p for p, _ in targets], dtype=np.int64)
     originals = np.array([o for _, o in targets], dtype=np.int64)
-    picked = T.gather_rows(out.hidden, positions)
-    logits = T.linear(picked, T.transpose(state.params["tok_emb"]), state.params["mlm_bias"])
+    out = forward(corrupted, state, train_mode=train_mode, rng=rng, rows=positions)
+    logits = T.linear(out.hidden, T.transpose(state.params["tok_emb"]), state.params["mlm_bias"])
     return T.cross_entropy_rows(logits, originals)

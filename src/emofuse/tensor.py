@@ -427,10 +427,14 @@ def dropout(
     rate: float,
     rng: np.random.Generator | None = None,
     train_mode: bool = True,
+    rows: tuple[int, Array] | None = None,
 ) -> Tensor:
     """Inverted dropout: kept entries scale by 1/(1-rate) so eval needs no rescale.
 
     Rate 0 (or eval mode) is the identity and returns the input unchanged.
+    ``rows=(n, index)`` says ``x`` holds rows ``index`` of an [n x ...] input: the
+    mask is drawn for all n rows and its rows ``index`` kept, so the rng advances,
+    and each kept entry is drawn, exactly as for that whole input.
     """
     if not (0.0 <= rate < 1.0):
         raise InputError(f"dropout rate must be in [0, 1), got {rate}")
@@ -438,7 +442,9 @@ def dropout(
         return x
     if rng is None:
         raise UsageError("dropout in train mode needs an explicit rng")
-    mask = rng.random(x.data.shape)
+    mask = rng.random(x.data.shape if rows is None else (rows[0], *x.data.shape[1:]))
+    if rows is not None:
+        mask = mask[rows[1]]
     np.greater_equal(mask, rate, out=mask)
     mask /= 1.0 - rate
     return _result("dropout", x.data * mask, (x,), lambda g: (g * mask,))

@@ -1,6 +1,7 @@
 """Encoder: forward contracts, masking, masked-LM loss, parameter counting."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,16 @@ class TestGraphSize:
                        "softmax_rows": n, "gelu": n}
         assert sum(ops.values()) == 5 + 22 * n
 
+    def test_pruned_forward_adds_two_gathers(self):
+        """Reading some rows gathers the last layer's residual and query rows: two
+        records more, and no other op count moves."""
+        seq = make_seq([5, 6, 7, 8])
+        full = recorded_ops(forward(seq, tiny_state(), train_mode=True,
+                                    rng=np.random.default_rng(0)).hidden)
+        pruned = recorded_ops(forward(seq, tiny_state(), train_mode=True,
+                                      rng=np.random.default_rng(0), rows=np.array([2])).hidden)
+        assert pruned == dict(full, gather_rows=full["gather_rows"] + 2)
+
 
 class TestMultiHeadAttention:
     """The head-batched routine against the per-head reference loop."""
@@ -343,6 +354,85 @@ class TestMaskedLmLoss:
             lambda: masked_lm_loss(state, corrupted, targets),
             leaves,
         )
+
+    @pytest.mark.parametrize("target", [
+        (1.5, 5), (2.0, 5), ("2", 5), (-1, 5), (9, 5), (None, 5),
+        (2, 11), (2, -1), (2, 5.0), (2, np.float64(5)),
+    ], ids=["pos-1.5", "pos-2.0", "pos-str", "pos-negative", "pos-past-end", "pos-none",
+            "id-past-vocab", "id-negative", "id-float", "id-np-float"])
+    def test_bad_target_rejected_up_front_by_name(self, target):
+        """A target must be an integer position inside the sequence (of length 9
+        here) and an integer original ID inside the vocabulary; the error names it."""
+        corrupted = make_seq([5, 6, 7, 8, 9, 10, 5, 6])
+        with pytest.raises(InputError, match=re.escape(f"masked-LM target {target!r}")):
+            masked_lm_loss(tiny_state(), corrupted, ((3, 7), target))
+
+
+def full_masked_lm_loss(state, corrupted, targets, train_mode=False, rng=None):
+    """The unpruned masked-LM loss, the oracle of the pruned one: every row through
+    the whole encoder, then the target rows, the tied head and cross-entropy."""
+    hidden = forward(corrupted, state, train_mode=train_mode, rng=rng).hidden
+    picked = T.gather_rows(hidden, np.array([p for p, _ in targets]))
+    logits = T.linear(picked, T.transpose(state.params["tok_emb"]), state.params["mlm_bias"])
+    return T.cross_entropy_rows(logits, np.array([o for _, o in targets]))
+
+
+class TestPrunedMaskedLmLoss:
+    """``masked_lm_loss`` runs the last layer at the target rows only; it must equal
+    the full forward's loss and gradients up to BLAS rounding, and draw the same
+    dropout masks from the same rng stream."""
+
+    SEQ = make_seq([5, 6, 7, 8, 9, 10, 5, 6, 7])  # body positions 1..9
+
+    @staticmethod
+    def loss_and_grads(loss_fn, state, targets, train_mode):
+        rng = np.random.default_rng(11)
+        T.zero_grads(state.params.values())
+        loss = loss_fn(state, TestPrunedMaskedLmLoss.SEQ, targets, train_mode=train_mode,
+                       rng=rng)
+        T.backward(loss)
+        grads = {n: p.grad for n, p in state.params.items()}
+        return loss.item(), grads, rng.random()
+
+    @pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("targets", [
+        ((4, 7),),
+        ((1, 5), (3, 7), (4, 8), (8, 6)),
+        ((9, 7), (2, 6)),
+        tuple((pos, 5 + pos % 6) for pos in range(1, 10)),
+    ], ids=["k1", "several", "unordered", "every-body-position"])
+    def test_loss_and_every_gradient_match_the_full_forward(self, targets, train_mode):
+        state = randomize_state(tiny_state(seed=4), np.random.default_rng(40))
+        want, want_grads, want_next = self.loss_and_grads(full_masked_lm_loss, state,
+                                                          targets, train_mode)
+        got, got_grads, got_next = self.loss_and_grads(masked_lm_loss, state, targets,
+                                                       train_mode)
+        assert got_next == want_next  # the dropouts drew the same stream
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert got_grads.keys() == want_grads.keys()
+        largest = max(np.abs(g).max() for g in want_grads.values())
+        for name, g in want_grads.items():
+            assert got_grads[name].shape == g.shape, name
+            if name.endswith("attn.bk"):
+                # Exactly zero in exact arithmetic: a constant added to every key
+                # shifts each score row by a constant, which softmax ignores. Both
+                # paths leave rounding noise only.
+                assert max(np.abs(g).max(), np.abs(got_grads[name]).max()) <= 1e-12 * largest
+            else:
+                assert np.abs(got_grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+    def test_last_layer_feed_forward_sees_only_the_target_rows(self, monkeypatch):
+        shapes = []
+        gelu = T.gelu
+
+        def probe(x):
+            shapes.append(x.shape)
+            return gelu(x)
+
+        monkeypatch.setattr(T, "gelu", probe)
+        targets = ((2, 6), (5, 9), (7, 5))
+        masked_lm_loss(tiny_state(), self.SEQ, targets)
+        assert shapes == [(len(self.SEQ), TINY.d_ff)] * (TINY.n_layers - 1) + [(3, TINY.d_ff)]
 
 
 class TestParamCount:

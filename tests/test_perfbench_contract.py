@@ -41,6 +41,26 @@ assert spans["training.evaluate_model"][0] == 3, spans  # valid, test, then eval
 assert spans["encoder.forward.train"][0] > 0, spans
 """
 
+# A tiny speech pretraining with periodic checkpoints, on a 40-example
+# workspace: the benchmark's pretrain-speech hooks.
+TRACED_PRETRAIN = HOOKS + """
+import tempfile
+from emofuse import cli
+arch = [f"--speech-{flag}={value}" for flag, value in (("layers", 1), ("dim", 8),
+                                                        ("heads", 2), ("ff", 16))]
+with tempfile.TemporaryDirectory() as work:
+    for argv in (["gen-data", "--n=40", "--seed=0"],
+                 ["prepare", f"--dataset={work}/dataset.jsonl", "--codebook-size=8", "--seed=0"],
+                 ["pretrain", f"--dataset={work}/dataset.jsonl", f"--codebook={work}/codebook.bin",
+                  "--steps=4", "--batch-size=2", "--checkpoint-interval=2", *arch]):
+        rc = cli.main([*argv, f"--out-dir={work}"])
+        assert rc == 0, (argv[0], rc)
+spans = tracer.self_times()
+assert spans["encoder.forward.train"][0] > 0, spans
+assert spans["encoder.masked_lm_loss"][0] > 0, spans
+assert spans["checkpoint.save_encoder_checkpoint"][0] == 3, spans  # steps 2, 4, then the end
+"""
+
 
 def _child(code: str):
     """Run ``code`` in a child process (``-B``: no bytecode written under
@@ -62,4 +82,11 @@ def test_benchmark_hooks_find_every_function():
 def test_traced_finetune_and_evaluate_exit_0():
     """A hook that can no longer read its function's arguments or result fails the run."""
     proc = _child(TRACED_RUN)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_pretrain_exit_0():
+    """Pretraining still runs through the traced forward, masked-LM loss and
+    checkpoint writes that the pretrain-speech workload reads."""
+    proc = _child(TRACED_PRETRAIN)
     assert proc.returncode == 0, proc.stderr
