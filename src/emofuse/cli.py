@@ -5,8 +5,8 @@ Every command resolves its configuration (defaults < config file < flags),
 runs, and writes a manifest next to its artifacts recording the resolved
 config, seed, input digests, and output digests. Artifacts are written
 atomically, so a failed run leaves no partial files. Exit codes: 0 success,
-1 usage error, 2 input error (or a training worker process lost, see
-``emofuse.lanes``), 3 numeric failure.
+1 usage error, 2 input error (or a worker process lost, see ``emofuse.lanes``),
+3 numeric failure.
 
 The output root comes from --out-dir, falling back to the EMOFUSE_OUT
 environment variable and then ./runs.
@@ -93,16 +93,20 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return super()._get_help_string(action)
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+def _checked(kind: type, ok, rule: str):
+    """An argparse type: a ``kind`` value for which ``ok(value)`` holds ("must be ``rule``")."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
+
+
+def _int_at_least(low: int):
+    return _checked(int, lambda value: value >= low, f"at least {low}")
 
 
 def _out_dir(args) -> Path:
@@ -338,10 +342,10 @@ def cmd_finetune(args) -> int:
     manifest, splits, speech_cfg, text_cfg = _load_run_inputs(args, "finetune")
     if "train" not in splits:
         raise InputError(f"{args.dataset}: dataset has no train split")
-    out = _out_dir(args)
     model, result, report = _train_one(args, manifest, splits, speech_cfg, text_cfg,
                                        args.fusion, args.freeze, args.seed,
                                        speech_checkpoint=args.speech_checkpoint)
+    out = _out_dir(args)
 
     rows = [(h["epoch"], h["split"], h["metric"], h["value"]) for h in result.history]
     if report is not None:
@@ -379,8 +383,8 @@ def cmd_evaluate(args) -> int:
     examples = tokenize_examples(dataset.subset(args.split), codebook, vocab,
                                  speech_max_len=max_len.get("speech"),
                                  text_max_len=max_len.get("text"))
-    out = _out_dir(args)
     report = evaluate_model(model, examples, meta["label_mode"], class_names=CLASS_NAMES)
+    out = _out_dir(args)
     _print_report(report, f"metrics on split {args.split!r}")
     metrics_path = out / "eval_metrics.csv"
     atomic_write_text(metrics_path, _metrics_csv(_report_rows(report, "final", args.split)))
@@ -406,10 +410,8 @@ def cmd_ablate(args) -> int:
     for required in ("train", "valid", "test"):
         if not splits.get(required):
             raise InputError(f"{args.dataset}: ablation needs a non-empty {required!r} split")
-    out = _out_dir(args)
 
     csv_rows = []
-    cell_acc: dict[str, list[float]] = {}
     mean_rows: dict[str, dict[str, float]] = {}
     for cell, fusion, freeze in ABLATION_CELLS:
         per_metric: dict[str, list[float]] = {}
@@ -426,11 +428,10 @@ def cmd_ablate(args) -> int:
                 csv_rows.append((cell, rep, seed, metric, value))
             print(f"{cell} rep={rep} seed={seed} acc4={report.accuracy4:.4f}")
         mean_rows[cell] = {m: float(np.mean(v)) for m, v in per_metric.items()}
-        cell_acc[cell] = per_metric["acc4"]
     table = _ablation_table(mean_rows)
     print(table)
 
-    mean = {cell: float(np.mean(accs)) for cell, accs in cell_acc.items()}
+    mean = {cell: row["acc4"] for cell, row in mean_rows.items()}
     observations = {
         "finetuned_ge_frozen_shallow": mean["shallow-ft"] >= mean["shallow-frozen"],
         "coattn_beats_shallow_when_frozen": mean["coattn-frozen"] > mean["shallow-frozen"],
@@ -441,6 +442,7 @@ def cmd_ablate(args) -> int:
         print(f"observation {name}: {value}")
     manifest.record["observations"] = observations
 
+    out = _out_dir(args)
     csv_path = out / "ablation.csv"
     lines = ["cell,rep,seed,metric,value"]
     lines += [f"{c},{r},{s},{m},{v}" for c, r, s, m, v in csv_rows]
@@ -522,7 +524,8 @@ def build_parser(parser_class: type[_Parser] = _Parser) -> argparse.ArgumentPars
     p = add("pretrain", "masked-token pretraining of the speech encoder")
     _add_inputs(p, "dataset", "codebook")
     p.add_argument("--steps", type=_int_at_least(1), default=500, help="total update steps")
-    p.add_argument("--mask-rate", type=float, default=0.15, help="masking probability")
+    p.add_argument("--mask-rate", type=_checked(float, lambda rate: 0.0 < rate <= 1.0, "in (0, 1]"),
+                   default=0.15, help="masking probability")
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
     p.add_argument("--checkpoint-interval", type=_int_at_least(0), default=0,
                    help="write the checkpoint every N steps (0: only at the end)")

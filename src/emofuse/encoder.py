@@ -15,7 +15,6 @@ from typing import Iterator
 
 import numpy as np
 
-from . import lanes
 from . import tensor as T
 from .errors import ConfigError, InputError, UsageError
 from .tokens import MASK, N_SPECIALS, TokenSequence
@@ -235,9 +234,9 @@ def forward_many(seqs: list[TokenSequence], state: EncoderState) -> list[Encoder
 
     Each distinct sequence runs once. Equal-length ones run as [B x L] stacks whose
     largest intermediate, the attention scores [B x h x L x L] or the feed-forward
-    [B x L x d_ff], takes at most STACK_BYTES when B > 1; this thread and the helper
-    lane share the stacks. Each output, in input order, is bitwise its own ``forward``;
-    its ``hidden`` is a row view of its stack, the same view for equal sequences.
+    [B x L x d_ff], takes at most STACK_BYTES when B > 1; the stacks run one after
+    another. Each output, in input order, is bitwise its own ``forward``; its
+    ``hidden`` is a row view of its stack, the same view for equal sequences.
     """
     ids = [_checked_ids(seq, state.cfg) for seq in seqs]
     first: dict[tuple[int, ...], int] = {}  # each distinct sequence's first position
@@ -250,9 +249,9 @@ def forward_many(seqs: list[TokenSequence], state: EncoderState) -> list[Encoder
     for n, members in groups.items():
         rows = max(1, STACK_BYTES // (8 * n * max(state.cfg.n_heads * n, state.cfg.d_ff)))
         stacks += [members[s : s + rows] for s in range(0, len(members), rows)]
-    with T.no_grad():  # process-wide, so it covers the helper's stacks too
-        hiddens = lanes.share(lambda stack: _body(np.stack([ids[i] for i in stack]), state,
-                                                  0.0, None, False), stacks)
+    with T.no_grad():
+        hiddens = [_body(np.stack([ids[i] for i in stack]), state, 0.0, None, False)
+                   for stack in stacks]
     row_of = {i: h.data[r] for stack, h in zip(stacks, hiddens) for r, i in enumerate(stack)}
     return [EncoderOutput(T.Tensor(row_of[first[seq.ids]])) for seq in seqs]
 

@@ -1,23 +1,20 @@
-"""A second lane: a FIFO helper thread, and a forked worker process for training.
+"""A second lane: a forked worker process, for training and for evaluation.
 
-NumPy releases the GIL in its loops and BLAS calls, so the helper thread keeps a
-second core busy with work whose bits do not depend on the thread: evaluation's
-encoder stacks. Training spends much of its time in Python itself (graph building,
-``backward``'s loop), which a thread cannot overlap, so a training function forks
-one ``Worker`` process instead, linked to it by a pipe and by turns (``Link``).
-Two lanes run with at least 2 CPUs and a BLAS pinned to one thread by the
-environment (a BLAS thread pool would not survive the fork); with one lane ``share``
-is a plain loop and no worker is forked, in the same functions."""
+Training spends much of its time in Python itself (graph building, ``backward``'s loop),
+so a second core needs a second process: a training function forks one ``Worker``,
+linked to it by a pipe and by turns (``Link``), and evaluation splits its items with a
+``Worker`` forked for the call (``split``). Two lanes run with at least 2 CPUs and a
+BLAS pinned to one thread by the environment (a BLAS thread pool would not survive the
+fork); with one lane ``split`` is a plain call and no worker is forked, in the same
+functions."""
 
 import collections
-import contextvars
 import ctypes
 import mmap
 import multiprocessing
 import os
 import pickle
 import signal
-from concurrent import futures
 
 import numpy as np
 
@@ -33,33 +30,29 @@ def _blas_pinned() -> bool:
 
 
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# The helper thread, or None for one lane; chosen once, at import.
-helper = futures.ThreadPoolExecutor(1, "emofuse-helper") if _CPUS >= 2 and _blas_pinned() else None
+# 1 or 2, chosen once, at import; 1 in a worker, so a worker never forks.
+LANES = 2 if _CPUS >= 2 and _blas_pinned() else 1
 
 
-def share(fn, items: list) -> list:
-    """``[fn(item) for item in items]``. With two lanes, this thread and the helper each
-    take the next unclaimed item until none are left, the helper in the caller's context
-    (``np.errstate`` included). After an error nothing more is claimed, and the error
-    propagates once the helper's current item has finished."""
-    if helper is None:
-        return [fn(item) for item in items]
+def split(fn, items: list) -> list:
+    """``fn(items)``, for an ``fn`` that maps a list to one result per item, in order.
+
+    With two lanes and at least two items, a worker forked for the call computes
+    ``fn(items[1::2])`` and sends it back over the pipe while this process computes
+    ``fn(items[0::2])``; the results are interleaved. The worker is reaped on return, or
+    killed and reaped after an error on either side; its error is raised here with its
+    class and message."""
+    if LANES == 1 or len(items) < 2:
+        return fn(items)
     results = [None] * len(items)
-    claims = iter(range(len(items)))  # next() on it is atomic under the GIL
-
-    def drain():
-        try:
-            for i in claims:
-                results[i] = fn(items[i])
-        finally:
-            list(claims)  # after an error, leave nothing to claim
-
-    helping = helper.submit(contextvars.copy_context().run, drain)
+    worker = Worker(lambda message, link: link.send("split", fn(items[1::2])))
     try:
-        drain()
-    finally:
-        futures.wait([helping])
-    helping.result()
+        worker.send("split")
+        results[0::2], results[1::2] = fn(items[0::2]), worker.recv()[1]
+    except BaseException:
+        worker.close(kill=True)  # it may still be computing its half
+        raise
+    worker.close()
     return results
 
 
@@ -154,8 +147,8 @@ def _serve(link: Link, handle):
     It ends in ``os._exit``, whatever happens: nothing unwinds into the frames it
     shares with the parent, and no atexit handler or buffered output of the parent's
     runs twice."""
-    global helper
-    helper = None  # its thread did not survive the fork
+    global LANES
+    LANES = 1
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles an interrupt and ends this
     code = 1
     try:
@@ -179,9 +172,7 @@ class Worker(Link):
 
     Only what was mapped with ``shared`` before the fork is shared; everything else is
     the worker's own copy. A worker that is gone is an EmofuseError naming it, from
-    ``send``, ``recv`` or ``take``. ``close`` ends and reaps it. Create one only while
-    the helper thread is idle: the fork copies no thread but the caller's, and a lock
-    another thread held would stay held in the copy.
+    ``send``, ``recv`` or ``take``. ``close`` ends and reaps it.
     """
 
     def __init__(self, handle):
@@ -195,7 +186,7 @@ class Worker(Link):
         except OSError as err:
             conn.close()
             theirs.close()
-            raise EmofuseError(f"cannot start a training worker process: {err}") from None
+            raise EmofuseError(f"cannot start a worker process: {err}") from None
         if self.pid == 0:
             conn.close()
             _serve(Link(theirs, *reversed(turns)), handle)
@@ -229,4 +220,4 @@ class Worker(Link):
         status = self._reap()
         how = (f"was killed by signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
                else f"exited with status {os.WEXITSTATUS(status)}")
-        return EmofuseError(f"training worker process {self.pid} {how}")
+        return EmofuseError(f"worker process {self.pid} {how}")

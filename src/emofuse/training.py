@@ -255,11 +255,11 @@ class _Training:
         self.order, self.names = memoryview(order), names
         self.index = {id(p): i for i, p in enumerate(params.values())}
         sizes = np.cumsum([p.size for p in params.values()])
-        cut = len(names) if lanes.helper is None else 1 + int(abs(sizes - sizes[-1] / 2).argmin())
+        cut = len(names) if lanes.LANES == 1 else 1 + int(abs(sizes - sizes[-1] / 2).argmin())
         self.halves = ({n: params[n] for n in names[:cut]}, {n: params[n] for n in names[cut:]})
 
     def __enter__(self) -> "_Training":
-        if lanes.helper is not None:
+        if lanes.LANES == 2:
             self.link = lanes.Worker(self._serve)
         return self
 
@@ -537,29 +537,34 @@ def evaluate_model(
     ``tables`` holds frozen encoders' outputs by modality, each keyed by token IDs
     and holding every example's sequence; the other encoders run ``forward_many``
     over chunks of examples whose outputs take at most EVAL_BYTES. Each example is
-    then fused on its own. Nothing is differentiated: no graph.
+    then fused on its own. On two lanes a forked worker computes every other example's
+    logits (``lanes.split``), bitwise one lane's. Nothing is differentiated: no graph.
     """
     if not examples:
         raise InputError("cannot evaluate on an empty example list")
     if label_mode not in HEAD_OUTPUTS:
         raise InputError(f"unknown label mode {label_mode!r}")
     tables = tables or {}
-    predict, gold = (predict_class, int) if label_mode == "categorical" else (predict_score, float)
-    preds, golds = [], []
+    predict = predict_class if label_mode == "categorical" else predict_score
     size = max(1, EVAL_BYTES // sum(8 * s.cfg.max_len * s.cfg.d_model
                                     for s in model.encoders().values()))
-    with T.no_grad():
-        for start in range(0, len(examples), size):
-            chunk = examples[start : start + size]
+
+    def logits(part: list[TokenizedExample]) -> list[np.ndarray]:
+        out = []
+        for start in range(0, len(part), size):
+            chunk = part[start : start + size]
             # A generator, so no chunk's outputs outlive the statement that fuses them.
             encoded = ([tables[m][getattr(ex, m).ids] for ex in chunk] if m in tables
                        else forward_many([getattr(ex, m) for ex in chunk], state)
                        for m, state in model.encoders().items())
-            preds += [predict(model.fuse(*outs).logits.data) for outs in zip(*encoded)]
-            golds += [gold(ex.target) for ex in chunk]
+            out += [model.fuse(*outs).logits.data for outs in zip(*encoded)]
+        return out
+
+    with T.no_grad():
+        preds = [predict(lg) for lg in lanes.split(logits, examples)]
     if label_mode == "categorical":
-        return evaluate_classification(preds, golds, class_names)
-    return evaluate_scores(preds, golds)
+        return evaluate_classification(preds, [int(ex.target) for ex in examples], class_names)
+    return evaluate_scores(preds, [float(ex.target) for ex in examples])
 
 
 def run_finetune(
@@ -589,12 +594,13 @@ def run_finetune(
     for modality, state in model.encoders().items():
         state.set_requires_grad(not frozen[modality])
     # Each frozen encoder's outputs of the train and valid sequences, keyed by token IDs
-    # (never by example id), computed before a worker forks, so it inherits them.
+    # (never by example id), computed before the training worker forks, so it inherits them.
     tables = {}
     for modality, state in model.encoders().items():
         if frozen[modality]:
             seqs = [getattr(ex, modality) for ex in train + valid]
-            tables[modality] = dict(zip([seq.ids for seq in seqs], forward_many(seqs, state)))
+            outputs = lanes.split(lambda part: forward_many(part, state), seqs)
+            tables[modality] = dict(zip([seq.ids for seq in seqs], outputs))
     trainable = {name: p for name, p in model.named_params().items() if p.requires_grad}
     opt = AdamState.fresh(trainable)
     history: list[dict] = []

@@ -2,7 +2,6 @@
 
 import math
 import os
-from concurrent import futures
 
 import numpy as np
 import pytest
@@ -159,9 +158,7 @@ def full_tensor_lloyd(frames, centroids, max_iters, tol):
 @pytest.fixture
 def set_lanes(monkeypatch):
     """``set_lanes(n)`` runs the rest of the test on one lane or two, whatever the host."""
-    helper = futures.ThreadPoolExecutor(1, "test-helper")
-    yield lambda n: monkeypatch.setattr(lanes, "helper", helper if n == 2 else None)
-    helper.shutdown()
+    return lambda n: monkeypatch.setattr(lanes, "LANES", n)
 
 
 @pytest.fixture
@@ -171,7 +168,7 @@ def rng():
 
 def pytest_sessionfinish(session):
     """Fail the session when this process still has a child, alive or unreaped: every
-    training worker must be reaped by the call that forked it."""
+    worker must be reaped by the call that forked it."""
     try:
         os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:

@@ -512,7 +512,7 @@ BAD_NUMBERS = [
     *[(command, "--lr", value, "peak_lr")
       for command in ("finetune", "pretrain") for value in ("nan", "inf")],
     *[(command, "--warmup-steps", "-1", "warmup_steps") for command in ("finetune", "pretrain")],
-    *[("pretrain", "--mask-rate", value, "mask_rate") for value in ("0", "nan", "1.5")],
+    *[("pretrain", "--mask-rate", value, "--mask-rate") for value in ("0", "nan", "1.5")],
     ("prepare", "--codebook-size", "0", "--codebook-size"),
     *[("prepare", "--vocab-size", value, "--vocab-size") for value in ("0", "5")],
     *[("pretrain", "--steps", value, "--steps") for value in ("0", "-2")],
@@ -617,6 +617,8 @@ def _other_value(action) -> str:
         return next(c for c in action.choices if c != action.default)
     if action.type is float:
         return "-0.25"  # a leading minus must not read as an option
+    if getattr(action.type, "__name__", None) == "float":
+        return "0.25"  # a range-checked float: --mask-rate takes (0, 1]
     if action.type is None:
         return "some/path"
     return str((action.default or 0) + 3)
@@ -730,6 +732,27 @@ def test_missing_input_leaves_no_output_directory(workspace, tmp_path, capsys, c
     capsys.readouterr()
     assert main(argv) == 2
     assert "nope.jsonl" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Flag values only a check after the output directory would be made rejects: (argv
+# beyond a quick run's, text the message must contain).
+LATE_USAGE_ERRORS = [
+    ("finetune", ["--lr", "nan"], "got nan"),
+    ("finetune", ["--fusion", "coattn", "--coattn-heads", "3"], "n_heads 3"),
+    ("finetune", ["--fusion", "speech-only", "--freeze", "text"], "--freeze text"),
+    ("ablate", ["--grad-clip", "-1"], "got -1.0"),
+    ("pretrain", ["--mask-rate", "0"], "--mask-rate: must be in (0, 1], got 0.0"),
+]
+
+
+@pytest.mark.parametrize("command, extra, names", LATE_USAGE_ERRORS)
+def test_usage_error_in_a_flag_value_leaves_no_output_directory(workspace, tmp_path, capsys,
+                                                               command, extra, names):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*_training_argv(workspace, command, out), *extra]) == 1
+    assert names in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,5 +1,5 @@
-"""The second lane: one lane or two give the same bits, and no helper work or
-training worker outlives its call, an error or an interrupt."""
+"""The second lane: one lane or two give the same bits, and no worker process outlives
+the call that forked it, an error or an interrupt."""
 
 import ctypes
 import functools
@@ -28,7 +28,7 @@ from emofuse.data import (
     tokenize_examples,
 )
 from emofuse.encoder import EncoderConfig, EncoderState
-from emofuse.errors import NumericError, UsageError
+from emofuse.errors import InputError, NumericError, UsageError
 from emofuse.fusion import FusionModel
 from emofuse.speech import train_codebook
 from emofuse.text import build_vocab
@@ -50,25 +50,29 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL
 
 @pytest.fixture
 def workers(monkeypatch):
-    """The training workers forked during the test, recorded by pid, and in ``sent`` the
-    kind of each message sent to them. Setting its ``kill_after`` SIGKILLs a worker as
-    its ``"step"`` messages hand it that many examples in all (the odd positions)."""
+    """The training workers forked during the test (those sent a ``"step"``), recorded by
+    pid; in ``forks`` every worker forked, evaluation's too, and in ``sent`` the kind of
+    each message sent to them. Setting its ``kill_after`` SIGKILLs a worker as its
+    ``"step"`` messages hand it that many examples in all (the odd positions)."""
 
     class Forked(list):
         kill_after = math.inf
         sent = []
+        forks = []
 
     forked = Forked()
 
     class Recorded(lanes.Worker):
         def __init__(self, handle):
             super().__init__(handle)
-            forked.append(self.pid)
+            forked.forks.append(self.pid)
             self.examples = 0
 
         def send(self, *message):
             forked.sent.append(message[0])
             if message[0] == "step":
+                if self.pid not in forked:
+                    forked.append(self.pid)
                 handed = len(message[2]) // 2
                 if self.examples < forked.kill_after <= self.examples + handed:
                     os.kill(self.pid, signal.SIGKILL)
@@ -79,9 +83,10 @@ def workers(monkeypatch):
     return forked
 
 
-def assert_reaped(pids):
-    """Every pid is a child this process has already waited for: none remains."""
-    for pid in pids:
+def assert_reaped(workers):
+    """Every worker forked during the test is a child this process has already waited
+    for: none remains."""
+    for pid in workers.forks:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
 
@@ -193,7 +198,7 @@ def lag_at_a_leaf(set_lanes, workers, monkeypatch, hold_s):
         calls = itertools.count()
 
         def add(leaf, g):
-            if lanes.helper is not None and os.getpid() == parent and not seen \
+            if lanes.LANES == 2 and os.getpid() == parent and not seen \
                     and next(calls) == lag_at:
                 deadline = time.monotonic() + 30.0
                 while given[0] < lag_at and time.monotonic() < deadline:
@@ -478,22 +483,46 @@ def test_evaluate_model_logits_bitwise_across_lanes(set_lanes, monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(logits1, logits2))
 
 
-def test_share_keeps_order_and_stops_claiming_after_an_error(set_lanes):
+def squares_and_pids(items):
+    """Each item's square, with the pid of the process that computed it."""
+    return [(i * i, os.getpid()) for i in items]
+
+
+@pytest.mark.parametrize("n_lanes", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_split_is_fn_of_the_items_in_order(set_lanes, workers, n_lanes, n):
+    """``split(fn, items)`` is ``fn(items)``, in order; on two lanes a worker forked for
+    the call computes every other item, and is reaped."""
+    set_lanes(n_lanes)
+    results = lanes.split(squares_and_pids, list(range(n)))
+    assert [square for square, _ in results] == [i * i for i in range(n)]
+    forked = n_lanes == 2 and n >= 2
+    assert len(workers.forks) == forked
+    assert [pid for _, pid in results] == [
+        workers.forks[0] if forked and k % 2 else os.getpid() for k in range(n)]
+    assert_reaped(workers)
+
+
+@pytest.mark.parametrize("side", ["worker", "parent"])
+def test_an_error_in_either_half_of_a_split_reaps_the_worker(set_lanes, workers, side):
+    """An EmofuseError in the worker's half is raised here with its class and message;
+    after one in this process's half the worker, still busy, is killed. Either way it
+    is reaped, within seconds."""
     set_lanes(2)
-    assert lanes.share(lambda i: i * i, list(range(50))) == [i * i for i in range(50)]
-    claimed = []
+    parent, start = os.getpid(), time.monotonic()
 
-    def fn(i):
-        claimed.append(i)
-        if i == 3:
-            raise NumericError("item 3")
-        time.sleep(0.01)
-        return i
+    def fn(items):
+        if (os.getpid() == parent) == (side == "parent"):
+            raise InputError(f"bad items {items}")
+        time.sleep(30.0 if side == "parent" else 0.0)
+        return items
 
-    with pytest.raises(NumericError, match="item 3"):
-        lanes.share(fn, list(range(50)))
-    assert len(claimed) < 10
-    assert lanes.helper.submit(len, claimed).result() == len(claimed)  # the helper is idle
+    with pytest.raises(InputError, match=re.escape(
+            f"bad items {[1, 3] if side == 'worker' else [0, 2]}")):
+        lanes.split(fn, [0, 1, 2, 3])
+    assert time.monotonic() - start < 10.0
+    assert len(workers.forks) == 1
+    assert_reaped(workers)
 
 
 @pytest.mark.parametrize("env, pinned", [
@@ -550,6 +579,37 @@ def test_warm_forwards_reuse_their_heap_pages():
     assert float(proc.stdout) < 20
 
 
+EVALUATE_THEN_COUNT_THREADS = """
+import os
+import numpy as np
+from emofuse import lanes
+from emofuse.data import HEAD_OUTPUTS, TokenizedExample
+from emofuse.encoder import EncoderConfig
+from emofuse.fusion import FusionModel
+from emofuse.tokens import CLS, TokenSequence
+from emofuse.training import evaluate_model
+lanes.LANES = 2
+cfg = EncoderConfig(n_layers=1, d_model=8, n_heads=2, d_ff=16, vocab_size=11, max_len=12)
+model = FusionModel.init("coattn", cfg, cfg, HEAD_OUTPUTS["categorical"], 2,
+                         np.random.default_rng(0))
+examples = [TokenizedExample(f"e{i}", TokenSequence("speech", (CLS, *[5] * (1 + i % 4))),
+                             TokenSequence("text", (CLS, *[6] * (1 + i % 3))), i % 4)
+            for i in range(8)]
+evaluate_model(model, examples, "categorical")
+print(len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_a_two_lane_evaluation_leaves_one_thread():
+    """With BLAS pinned, a two-lane ``evaluate_model`` starts no thread: the process
+    still has one."""
+    proc = subprocess.run([sys.executable, "-c", EVALUATE_THEN_COUNT_THREADS],
+                          env=_child_env(True), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
+
+
 ARCH = [f"--{m}-{flag}={value}" for m in ("speech", "text")
         for flag, value in (("layers", 1), ("dim", 16), ("heads", 2), ("ff", 32))]
 
@@ -579,7 +639,7 @@ def test_finetune_with_blas_pinned_writes_the_same_model(workspace, tmp_path):
     for pin in (False, True):
         env = _child_env(pin)
         lanes_used = subprocess.run(
-            [sys.executable, "-c", "from emofuse import lanes; print(2 if lanes.helper else 1)"],
+            [sys.executable, "-c", "from emofuse import lanes; print(lanes.LANES)"],
             env=env, capture_output=True, text=True, check=True).stdout.strip()
         assert lanes_used == ("2" if pin and lanes._CPUS >= 2 else "1")
         out = tmp_path / f"pin{int(pin)}"
@@ -646,9 +706,36 @@ def test_killed_worker_exits_2_naming_it(set_lanes, workers, workspace, tmp_path
     capsys.readouterr()
     assert main(finetune_argv(inputs, tmp_path)) == 2
     err = capsys.readouterr().err
-    assert err == f"error: training worker process {workers[0]} was killed by signal 9\n"
+    assert err == f"error: worker process {workers[0]} was killed by signal 9\n"
     assert_reaped(workers)
     assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_evaluation_worker_killed_exits_2_naming_it(set_lanes, workers, workspace, tmp_path,
+                                                    capsys, monkeypatch):
+    """SIGKILL of the worker ``evaluate`` forks ends the run with exit 2 naming it, and
+    leaves no output directory."""
+    _, inputs = workspace
+    set_lanes(1)
+    assert main(finetune_argv(inputs, tmp_path / "model")) == 0
+    set_lanes(2)
+    parent, forward_many = os.getpid(), training.forward_many
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return forward_many(*args)
+
+    monkeypatch.setattr(training, "forward_many", dying)
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert main(["evaluate", *inputs, f"--model={tmp_path}/model/model.ckpt",
+                 f"--out-dir={out}"]) == 2
+    assert capsys.readouterr().err == (f"error: worker process {workers.forks[0]} was killed "
+                                       "by signal 9\n")
+    assert len(workers) == 0 and len(workers.forks) == 1
+    assert_reaped(workers)
+    assert not out.exists()
 
 
 def test_worker_killed_mid_backward_exits_2_within_seconds(set_lanes, workers, workspace,
@@ -685,16 +772,16 @@ def test_worker_killed_mid_backward_exits_2_within_seconds(set_lanes, workers, w
     assert main(finetune_argv(inputs, tmp_path)) == 2
     assert 0.0 < times[0] <= times[1] and time.monotonic() - times[1] < 5.0
     err = capsys.readouterr().err
-    assert err == f"error: training worker process {workers[0]} was killed by signal 9\n"
+    assert err == f"error: worker process {workers[0]} was killed by signal 9\n"
     assert_reaped(workers)
     assert not (tmp_path / "model.ckpt").exists()
 
 
 @pytest.mark.parametrize("kind", ["shallow", "coattn"])
 def test_frozen_caches_fill_before_the_fork(set_lanes, workers, monkeypatch, kind):
-    """With both encoders frozen, their outputs are computed once, before the worker
-    forks: the worker runs no encoder forward, and a two-lane run keeps the bits of a
-    one-lane run whose tables fill with one ``forward`` per sequence."""
+    """With both encoders frozen, their outputs are computed once, before the training
+    worker forks: no worker runs an encoder ``forward``, and a two-lane run keeps the
+    bits of a one-lane run whose tables fill with one ``forward`` per sequence."""
     tok, speech_vocab, text_vocab = splits("categorical")
     parent, forward = os.getpid(), training.forward
     worker_forwards = lanes.shared([(1,)])[0]

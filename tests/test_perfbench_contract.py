@@ -35,7 +35,7 @@ with tempfile.TemporaryDirectory() as work:
         rc = cli.main([*argv, f"--out-dir={work}"])
         assert rc == 0, (argv[0], rc)
 from emofuse import lanes
-assert lanes.helper is not None or lanes._CPUS < 2  # the hooks also ran on the helper
+assert lanes.LANES == 2 or lanes._CPUS < 2  # evaluation also ran in forked workers
 spans = tracer.self_times()
 assert spans["training.evaluate_model"][0] == 3, spans  # valid, test, then evaluate
 assert spans["encoder.forward.train"][0] > 0, spans
@@ -66,7 +66,7 @@ def _child(code: str):
     """Run ``code`` in a child process (``-B``: no bytecode written under
     perfbench/), since the hooks rebind module attributes for the rest of it.
     BLAS is pinned to one thread as the benchmark pins it, so on two or more
-    CPUs the hooks also run on the helper lane."""
+    CPUs evaluation also runs in forked workers, where the hooks record nothing."""
     env = dict(os.environ, **{var: "1" for var in BLAS_VARS})
     return subprocess.run(
         [sys.executable, "-B", "-c", code, str(ROOT / "perfbench"), str(ROOT / "src")],

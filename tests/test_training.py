@@ -445,7 +445,8 @@ class TestEvaluationRecordsNoGraph:
         assert recorded.op is not None and bare.op is None
         assert np.array_equal(bare.data, recorded.data)
 
-    def test_evaluate_model_forwards_record_nothing(self, monkeypatch):
+    def test_evaluate_model_forwards_record_nothing(self, monkeypatch, set_lanes):
+        set_lanes(1)  # a worker's outputs would be recorded in the worker
         outputs = []
 
         def recording_forward_many(*args, **kwargs):
@@ -489,8 +490,9 @@ class TestEvaluateInLengthGroups:
         ("shallow", "categorical", "speech"),
         ("coattn", "score", "text"),
     ])
-    def test_reports_and_logits_match_per_example_forwards(self, monkeypatch, kind, label_mode,
-                                                           frozen):
+    def test_reports_and_logits_match_per_example_forwards(self, monkeypatch, set_lanes, kind,
+                                                           label_mode, frozen):
+        set_lanes(1)  # the chunks a worker encodes would be counted in the worker
         model = self._model(kind, label_mode)
         examples = self._examples(label_mode)
         with T.no_grad():
