@@ -5,8 +5,8 @@ Every command resolves its configuration (defaults < config file < flags),
 runs, and writes a manifest next to its artifacts recording the resolved
 config, seed, input digests, and output digests. Artifacts are written
 atomically, so a failed run leaves no partial files. Exit codes: 0 success,
-1 usage error, 2 input error (or a worker process lost, see ``emofuse.lanes``),
-3 numeric failure.
+1 usage error, 2 input error (or a worker process lost, see ``emofuse.lanes``, or
+a failed write or read of fine-tuning's best-epoch file), 3 numeric failure.
 
 The output root comes from --out-dir, falling back to the EMOFUSE_OUT
 environment variable and then ./runs.
@@ -210,10 +210,10 @@ def cmd_prepare(args) -> int:
     manifest = Manifest("prepare", args)
     manifest.add_input(args.dataset)
     examples = _train_examples(load_jsonl(args.dataset), args.dataset)
-    out = _out_dir(args)
     vocab = build_vocab([ex.text for ex in examples], max_size=args.vocab_size)
     frames = np.concatenate([ex.frames for ex in examples])
     codebook = train_codebook(frames, k=args.codebook_size, seed=args.seed)
+    out = _out_dir(args)
     vocab_path = out / "vocab.txt"
     codebook_path = out / "codebook.bin"
     vocab.save(vocab_path)

@@ -16,7 +16,9 @@ token IDs.
 from __future__ import annotations
 
 import collections
+import contextlib
 import math
+import tempfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,7 +26,7 @@ import numpy as np
 from . import lanes
 from . import tensor as T
 from .encoder import EncoderState, forward, forward_many, mask_corrupt, masked_lm_loss
-from .errors import ConfigError, InputError, NumericError, UsageError
+from .errors import ConfigError, EmofuseError, InputError, NumericError, UsageError
 from .fusion import FusionModel
 from .data import HEAD_OUTPUTS, TokenizedExample
 from .metrics import evaluate_classification, evaluate_scores
@@ -567,6 +569,22 @@ def evaluate_model(
     return evaluate_scores(preds, [float(ex.target) for ex in examples])
 
 
+def _best_epoch_bytes(params, file, files: contextlib.ExitStack, restore: bool = False):
+    """Write the parameters' bytes, in order, to the start of ``file`` (None: a new unnamed
+    temporary file that ``files`` closes) and return it, or with ``restore`` read them back
+    into the same arrays. An OSError or a short read is an EmofuseError naming the file."""
+    try:
+        file = file or files.enter_context(tempfile.TemporaryFile())
+        file.seek(0)
+        for p in params.values():
+            if (file.readinto if restore else file.write)(p.data) != p.data.nbytes:
+                raise EOFError("the file ends early")
+        file.flush()
+    except (OSError, EOFError) as err:
+        raise EmofuseError(f"best-epoch file in {tempfile.gettempdir()}: {err}") from None
+    return file
+
+
 def run_finetune(
     train: list[TokenizedExample],
     valid: list[TokenizedExample],
@@ -581,7 +599,9 @@ def run_finetune(
     optimizer entirely and serve its features from a table of its eval-mode
     outputs, so frozen parameters never change, bitwise. The validation metric is
     unweighted 4-class accuracy (higher wins) in categorical mode and MAE
-    (lower wins) in score mode.
+    (lower wins) in score mode; a tie is no improvement. A best epoch before the last
+    is written to an unnamed temporary file, read back into the parameters' own arrays
+    only if no later epoch improves on it (``_best_epoch_bytes``).
     """
     if not train:
         raise InputError("fine-tuning needs a non-empty training split")
@@ -605,15 +625,14 @@ def run_finetune(
     opt = AdamState.fresh(trainable)
     history: list[dict] = []
     best_metric: float | None = None
-    best_epoch = 0
-    # One snapshot of the best epoch's parameters, refreshed in place.
-    best_arrays = {n: np.empty_like(p.data) for n, p in trainable.items()} if valid else {}
+    best_epoch, best_file = 0, None
     step = 0
 
     def example_loss(i, rng):
         return _example_loss(model, train[i], label_mode, True, rng, tables)
 
-    with _Training(trainable, opt, example_loss, cfg.seed) as run:
+    with (contextlib.ExitStack() as files,
+          _Training(trainable, opt, example_loss, cfg.seed) as run):
         for epoch in range(1, epochs + 1):
             order = _generator(cfg.seed, epoch).permutation(len(train))
             epoch_loss = 0.0
@@ -633,12 +652,10 @@ def run_finetune(
                 history.append({"epoch": epoch, "split": "valid", "metric": metric_name,
                                 "value": value})
                 if best_metric is None or better(value, best_metric):
-                    best_metric = value
-                    best_epoch = epoch
-                    for name, p in trainable.items():
-                        np.copyto(best_arrays[name], p.data)
-
-    for name, arr in best_arrays.items():
-        trainable[name].data = arr
+                    best_metric, best_epoch = value, epoch
+                    if epoch < epochs:  # a later epoch will change the parameters
+                        best_file = _best_epoch_bytes(trainable, best_file, files)
+        if best_file is not None and best_epoch < epochs:
+            _best_epoch_bytes(trainable, best_file, files, restore=True)
     return FinetuneResult(history=history, best_epoch=best_epoch,
                           best_metric=best_metric or 0.0, optimizer=opt)

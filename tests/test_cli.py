@@ -98,13 +98,15 @@ class TestPrepare:
         assert sha256_file(out / "vocab.txt") == sha256_file(workspace / "vocab.txt")
         assert sha256_file(out / "codebook.bin") == sha256_file(workspace / "codebook.bin")
 
-    def test_oversized_codebook_leaves_no_partial_files(self, workspace, tmp_path):
+    def test_oversized_codebook_leaves_no_partial_files(self, workspace, tmp_path, capsys):
         out = tmp_path / "fail"
+        capsys.readouterr()
         code = main(["prepare", "--dataset", f"{workspace}/dataset.jsonl",
                      "--out-dir", str(out), "--codebook-size", "99999"])
+        err = capsys.readouterr().err
         assert code == 2
-        assert not (out / "vocab.txt").exists()
-        assert not (out / "codebook.bin").exists()
+        assert "K=99999" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_small_corpus_vocabulary(self, tmp_path):
         rows = [
@@ -545,12 +547,13 @@ def _training_argv(workspace, command, out):
 
 @pytest.mark.parametrize("command, flag, value, names", BAD_NUMBERS)
 def test_out_of_range_number_exits_1(workspace, tmp_path, capsys, command, flag, value, names):
+    out = tmp_path / "out"
     capsys.readouterr()
-    code = main([*_training_argv(workspace, command, tmp_path), flag, value])
+    code = main([*_training_argv(workspace, command, out), flag, value])
     err = capsys.readouterr().err
     assert code == 1
     assert names in err and "Traceback" not in err
-    assert not any(tmp_path.iterdir())
+    assert not out.exists()
 
 
 # Bad config-file lines: (command, line, exit code, text the message must

@@ -2,7 +2,9 @@
 the call that forked it, an error or an interrupt."""
 
 import ctypes
+import errno
 import functools
+import io
 import itertools
 import math
 import multiprocessing
@@ -11,6 +13,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -709,6 +712,38 @@ def test_killed_worker_exits_2_naming_it(set_lanes, workers, workspace, tmp_path
     assert err == f"error: worker process {workers[0]} was killed by signal 9\n"
     assert_reaped(workers)
     assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("where", ["open", "write"])
+def test_no_room_for_the_best_epoch_file_exits_2_naming_it(set_lanes, workers, workspace,
+                                                           tmp_path, capsys, monkeypatch,
+                                                           where):
+    """No space for the best-epoch file, at its opening or at its first write, is one
+    error line naming it, exit 2: the training worker is reaped, the file closed and no
+    output directory made."""
+    _, inputs = workspace
+    set_lanes(2)
+    full, opened = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), []
+
+    class Full(io.BytesIO):
+        def write(self, data):
+            raise full
+
+    def temporary_file(*args, **kwargs):
+        if where == "open":
+            raise full
+        opened.append(Full())
+        return opened[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    capsys.readouterr()
+    assert main(finetune_argv(inputs, tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (f"error: best-epoch file in {tempfile.gettempdir()}: "
+                                       f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    assert len(workers) == 1
+    assert_reaped(workers)
+    assert all(f.closed for f in opened) and len(opened) == (where == "write")
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluation_worker_killed_exits_2_naming_it(set_lanes, workers, workspace, tmp_path,

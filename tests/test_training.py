@@ -1,6 +1,9 @@
 """Optimizer, schedule, pretraining and fine-tuning loops."""
 
 import math
+import tempfile
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from emofuse import tensor as T
 from emofuse import training
 from emofuse.data import HEAD_OUTPUTS, TokenizedExample, generate_synthetic, tokenize_examples
 from emofuse.encoder import EncoderConfig, EncoderState, forward, forward_many
-from emofuse.errors import ConfigError, InputError, NumericError, UsageError
+from emofuse.errors import ConfigError, EmofuseError, InputError, NumericError, UsageError
 from emofuse.fusion import FUSION_KINDS, FusionModel, LinearHead
 from emofuse.metrics import evaluate_classification, evaluate_scores
 from emofuse.speech import train_codebook
@@ -420,6 +423,118 @@ class TestFinetune:
         assert report.mae is not None and report.acc7 is not None
         losses = [h["value"] for h in result.history if h["metric"] == "loss"]
         assert losses[-1] < losses[0]
+
+
+def params_of(model):
+    return {name: p.data.copy() for name, p in model.named_params().items()}
+
+
+def spy_temporary_files(monkeypatch):
+    """The files ``tempfile.TemporaryFile`` opens from here on, in order."""
+    opened, real = [], tempfile.TemporaryFile
+
+    def counted(*args, **kwargs):
+        opened.append(real(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", counted)
+    return opened
+
+
+class TestBestEpochFile:
+    """A best validation epoch before the last is kept in an unnamed temporary file and
+    read back into the parameters when no later epoch improves on it."""
+
+    def run(self, monkeypatch, accuracies, epochs=None, valid=True, at_validation=None):
+        """A shallow fine-tune whose validation accuracies are ``accuracies`` in turn;
+        returns the result, each epoch's parameters at its validation, the final
+        parameters and the files opened. ``at_validation(epoch)`` runs at each."""
+        tok, speech, text = build_finetune_fixture(n=40)
+        model = FusionModel("shallow", LinearHead.init(32, 8, np.random.default_rng(2)),
+                            speech=speech, text=text)
+        scores, after, opened = iter(accuracies), [], spy_temporary_files(monkeypatch)
+
+        def scripted(*args, **kwargs):
+            after.append(params_of(model))
+            if at_validation is not None:
+                at_validation(len(after))
+            return types.SimpleNamespace(accuracy4=next(scores))
+
+        monkeypatch.setattr(training, "evaluate_model", scripted)
+        cfg = TrainConfig(peak_lr=1e-2, batch_size=8, seed=0)
+        result = run_finetune(tok["train"], tok["valid"] if valid else [], model, cfg,
+                              epochs=epochs or len(accuracies))
+        assert all(f.closed for f in opened)
+        return result, after, params_of(model), opened
+
+    @pytest.mark.parametrize("n_lanes", [1, 2])
+    @pytest.mark.parametrize("last", [0.5, 0.75], ids=["worse", "tie"])
+    def test_a_later_epoch_no_better_restores_the_best_bitwise(self, monkeypatch, set_lanes,
+                                                               n_lanes, last):
+        """A tie is no improvement."""
+        set_lanes(n_lanes)
+        result, after, final, opened = self.run(monkeypatch, [0.5, 0.75, last])
+        assert result.best_epoch == 2 and result.best_metric == 0.75
+        assert all(np.array_equal(final[n], after[1][n]) for n in final)
+        assert not all(np.array_equal(final[n], after[2][n]) for n in final)
+        assert len(opened) == 1
+
+    @pytest.mark.parametrize("accuracies, epochs, valid, files", [
+        ([0.5], 1, True, 0),
+        ([], 2, False, 0),
+        ([0.5, 0.75], 2, True, 1),  # epoch 1's bytes, never read back
+        ([0.5, 0.6, 0.75], 3, True, 1),  # one file, rewritten
+    ], ids=["one-epoch", "no-valid-split", "last-best", "each-better"])
+    def test_files_opened(self, monkeypatch, accuracies, epochs, valid, files):
+        result, after, final, opened = self.run(monkeypatch, accuracies, epochs, valid)
+        assert len(opened) == files
+        assert result.best_epoch == len(accuracies)
+        if after:
+            assert all(np.array_equal(final[n], after[-1][n]) for n in final)
+
+    def test_a_truncated_file_is_an_error_naming_it(self, monkeypatch):
+        opened = spy_temporary_files(monkeypatch)
+
+        def truncate(epoch):
+            if epoch == 2:
+                opened[0].truncate(8)
+
+        with pytest.raises(EmofuseError, match="best-epoch file in .*: the file ends early"):
+            self.run(monkeypatch, [0.5, 0.25], at_validation=truncate)
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_a_numeric_error_after_a_spill_leaves_no_open_file(self, monkeypatch):
+        example_loss, validated = training._example_loss, []
+        opened = spy_temporary_files(monkeypatch)
+
+        def failing(*args):
+            if validated:
+                raise NumericError("went non-finite")
+            return example_loss(*args)
+
+        monkeypatch.setattr(training, "_example_loss", failing)
+        with pytest.raises(NumericError, match="optimizer step 4: went non-finite"):
+            self.run(monkeypatch, [0.5, 0.75], at_validation=validated.append)
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_the_best_epoch_takes_no_second_copy_of_the_parameters(self, set_lanes):
+        """With a valid split, the traced peak stays within half the trainable bytes of
+        the peak without one: the best epoch's parameters are not held in memory."""
+        set_lanes(1)
+        peaks = []
+        for valid in (False, True):
+            tok, speech, text = build_finetune_fixture(n=40)
+            model = FusionModel("shallow", LinearHead.init(32, 8, np.random.default_rng(2)),
+                                speech=speech, text=text)
+            cfg = TrainConfig(peak_lr=1e-2, batch_size=8, seed=0)
+            tracemalloc.start()
+            try:
+                run_finetune(tok["train"], tok["valid"] if valid else [], model, cfg, epochs=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        size = sum(p.data.nbytes for p in model.named_params().values())
+        assert peaks[1] - peaks[0] < size / 2
 
 
 class TestEvaluationRecordsNoGraph:
